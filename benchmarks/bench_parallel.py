@@ -1,7 +1,7 @@
 """Multi-core publishing: the ``repro.parallel`` worker pool under load.
 
-Two workloads, both asserting byte-identity between pooled and serial
-output before any timing is trusted:
+One workload, asserting byte-identity between pooled and serial output
+before any timing is trusted:
 
 * **multi-view publish storm** -- a :class:`ViewServer` holding sixteen
   view bindings (``closure`` and ``hierarchy`` over equal-cost synthetic
@@ -13,14 +13,6 @@ output before any timing is trusted:
   4** -- asserted whenever the host actually has that many cores, and
   recorded (with the skip reason) otherwise, so a 1-core CI box checks
   correctness while a multi-core box enforces the perf claim.
-
-* **blow-up / fan-out expansion** -- :func:`parallel_publish_bytes` on a
-  single document whose root children are independently expensive (the
-  transitive-closure view), plus the paper's Proposition-1 chain of
-  diamonds.  The diamonds number is reported but *expected* to be ~1x or
-  below: the rendered-span memo makes the serial blow-up nearly free
-  (repeated subtrees render once), so fan-out only pays on memo-cold,
-  sibling-heavy roots -- which is exactly what the report shows.
 
 Runnable directly -- ``python benchmarks/bench_parallel.py [--quick]`` --
 printing the numbers as JSON with ``workers`` / ``cpu_count`` metadata;
@@ -35,15 +27,10 @@ import sys
 import time
 from zlib import crc32
 
-from repro.engine.plan import compile_plan
-from repro.parallel import WorkerPool, parallel_publish_bytes
+from repro.parallel import WorkerPool
 from repro.relational.delta import Delta
 from repro.relational.instance import Instance
 from repro.serve import ViewServer
-from repro.workloads.blowup import (
-    chain_of_diamonds_instance,
-    chain_of_diamonds_transducer,
-)
 from repro.workloads.registrar import REGISTRAR_SCHEMA, registrar_view_suite
 
 #: The acceptance thresholds of the multi-core tentpole.
@@ -177,44 +164,6 @@ def measure_publish_storm(chain: int, rounds: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Single-publish fan-out expansion.
-# ---------------------------------------------------------------------------
-
-
-def measure_expansion(chain: int, diamonds: int) -> dict:
-    """:func:`parallel_publish_bytes` on fan-out-heavy and memo-heavy roots."""
-    suite = registrar_view_suite()
-    closure_tau = suite["closure"][0](department="DEPT00")
-    closure_instance = _storm_instance(["DEPT00"], chain)
-    diamond_tau = chain_of_diamonds_transducer()
-    diamond_instance = chain_of_diamonds_instance(diamonds)
-
-    report: dict = {"closure_chain": chain, "diamonds_n": diamonds}
-    for name, tau, instance, budget in (
-        ("closure_fanout", closure_tau, closure_instance, None),
-        ("diamonds_memoized", diamond_tau, diamond_instance, 4 * 10**6),
-    ):
-        kwargs = {} if budget is None else {"max_nodes": budget}
-        serial_plan = compile_plan(tau, **kwargs)
-        serial_doc, serial_seconds = _time(
-            lambda: serial_plan.publish_bytes(instance)
-        )
-        with WorkerPool(workers=2) as pool:
-            pooled_plan = compile_plan(tau, **kwargs)
-            pooled_doc, pooled_seconds = _time(
-                lambda: parallel_publish_bytes(pooled_plan, instance, pool)
-            )
-        assert pooled_doc == serial_doc, f"{name}: pooled bytes diverged"
-        report[name] = {
-            "serial_seconds": serial_seconds,
-            "pool2_seconds": pooled_seconds,
-            "speedup_2": serial_seconds / pooled_seconds,
-            "document_bytes": len(serial_doc),
-        }
-    return report
-
-
-# ---------------------------------------------------------------------------
 # Entry point.
 # ---------------------------------------------------------------------------
 
@@ -224,9 +173,6 @@ def main(argv: list[str]) -> int:
     cpu_count = _cpu_count()
     storm = measure_publish_storm(
         chain=12 if quick else 20, rounds=1 if quick else 2
-    )
-    expansion = measure_expansion(
-        chain=24 if quick else 40, diamonds=8 if quick else 10
     )
     checks = []
     for size in POOL_SIZES:
@@ -242,7 +188,6 @@ def main(argv: list[str]) -> int:
         "cpu_count": cpu_count,
         "workers_tested": list(POOL_SIZES),
         "publish_storm": storm,
-        "expansion": expansion,
         "speedup_checks": {
             f"pool{size}": ("asserted" if reason is None else f"skipped: {reason}")
             for size, reason in checks

@@ -24,9 +24,11 @@ layer entirely:
   current root-to-node path to be disjoint from the subtree's configuration
   set (stop-condition safety), reuse charges the node budget the subtree's
   traversal would have charged, and :meth:`PublishingPlan.republish`
-  migrates entries across versions with per-rule invalidation and lazy
-  confirmation.  A republish therefore re-renders only invalidated spans,
-  and a cache-hot publish of an unchanged document is a buffer handoff.
+  carries an entry across versions iff none of its configurations'
+  expansions changed -- for any number of commits between publishes.  A
+  republish therefore re-renders only the spans around changed
+  configurations, and a cache-hot publish of an unchanged document is a
+  buffer handoff.
 
 Output is **byte-identical** to the established serialisers on every
 backend: ``indent=N`` matches :func:`repro.xmltree.serialize.to_xml` /
@@ -38,14 +40,7 @@ per-level indentation; virtual tags contribute their children's spans
 spliced at the enclosing element's level.
 
 No ``TreeNode`` is ever constructed: working state is a frame stack over
-the expansion tuples and one flat list of string chunks.  The frame-stack
-driver (:func:`_render_span`) renders any subtree from any starting
-configuration, which is also the worker-side unit of ``repro.parallel``:
-:func:`render_subtree` renders one sibling subtree with the ancestor path
-seeded for stop-condition safety, and the parent process splices the
-returned spans — confluence makes every span a pure function of its own
-``(state, tag, register)`` over the snapshot, so the parallel document is
-byte-identical to the serial one by construction.
+the expansion tuples and one flat list of string chunks.
 """
 
 from __future__ import annotations
@@ -70,9 +65,9 @@ class _RenderEntry:
     virtual subtree of text leaves -- the enclosing element may still render
     inline), ``None`` when it contains an element.  ``triples`` / ``weight``
     / ``saved`` have the subtree-cache semantics: stop-condition safety and
-    delta invalidation, node-budget charge, and hit accounting.  ``document``
-    memoises the joined document on root entries so a cache-hot publish
-    returns one interned string.
+    carry-over across deltas, node-budget charge, and hit accounting.
+    ``document`` memoises the joined document on root entries so a
+    cache-hot publish returns one interned string.
     """
 
     __slots__ = ("chunks", "texts", "triples", "weight", "saved", "document")
@@ -91,36 +86,6 @@ class _RenderEntry:
         self.weight = weight
         self.saved = saved
         self.document: str | None = None
-
-
-class SpanResult:
-    """What rendering one subtree yields: the span plus its close algebra.
-
-    ``span`` is the rendered contribution (indentation prefixes included);
-    ``texts`` carries the raw escaped fragments when the contribution is
-    pure text from a virtual subtree (the enclosing element may then still
-    render inline), ``None`` otherwise.  ``triples`` is the configuration
-    set for stop-condition/cacheability bookkeeping (``None`` when the span
-    is path-dependent or oversized), ``weight`` the node-budget charge and
-    ``opened`` the node count the span accounts for.  Everything here is
-    plain picklable data: this is exactly what a ``repro.parallel`` worker
-    sends back across the process boundary.
-    """
-
-    __slots__ = ("span", "texts", "triples", "weight", "opened")
-
-    def __init__(self, span, texts, triples, weight, opened):
-        self.span = span
-        self.texts = texts
-        self.triples = triples
-        self.weight = weight
-        self.opened = opened
-
-    def __getstate__(self):
-        return (self.span, self.texts, self.triples, self.weight, self.opened)
-
-    def __setstate__(self, state):
-        self.span, self.texts, self.triples, self.weight, self.opened = state
 
 
 class _EmitFrame:
@@ -152,33 +117,11 @@ class _EmitFrame:
     )
 
 
-def _confirmed_entry(plan, state, key) -> _RenderEntry | None:
-    """The cached entry for ``key``, confirming a migrated suspect if needed.
-
-    Path-disjointness is the caller's concern; this only answers "is there
-    a (still valid) rendered span for this configuration".
-    """
-    entry = state.renders.get(key)
-    if entry is None:
-        entry = state.render_suspects.pop(key, None)
-        if entry is None:
-            return None
-        if not plan._confirm_triples(state, entry.triples):
-            return None
-        state.renders[key] = entry
-    return entry
-
-
-def _render_span(plan, state, cursor, indent, start_triple, start_level, blocked=()):
+def _render_span(plan, state, cursor, indent, start_triple, start_level):
     """The frame-stack driver: render ``start_triple``'s subtree into chunks.
 
-    Returns ``(out, info)`` where ``out`` is the chunk list (the subtree's
-    span, indentation prefixes included) and ``info`` the start frame's
-    close algebra as a :class:`SpanResult` (its ``span`` left ``None`` --
-    the chunks are handed back separately so the document driver can join
-    once).  ``blocked`` seeds the root-to-node path with ancestor triples,
-    which is how a parallel worker rendering one sibling subtree observes
-    the same stop condition a serial walk would.
+    Returns the chunk list (the subtree's span, indentation prefixes
+    included); the document driver joins it once.
     """
     from repro.engine.plan import _SUBTREE_TRIPLE_LIMIT
 
@@ -240,19 +183,16 @@ def _render_span(plan, state, cursor, indent, start_triple, start_level, blocked
             return found
 
     path = cursor._path
-    for ancestor in blocked:
-        path.add(ancestor)
     renders = state.renders
     limit = _SUBTREE_TRIPLE_LIMIT
 
     def lookup(key) -> _RenderEntry | None:
-        entry = _confirmed_entry(plan, state, key)
+        entry = renders.get(key)
         if entry is None or not path.isdisjoint(entry.triples):
             return None
         return entry
 
     out: list[str] = []
-    info: SpanResult | None = None
 
     def open_frame(triple, level: int) -> _EmitFrame:
         expansion = plan._expansion(state, triple)
@@ -386,17 +326,7 @@ def _render_span(plan, state, cursor, indent, start_triple, start_level, blocked
                     parent.triples |= triples
                 if len(parent.triples) > limit:
                     parent.triples = None
-        else:
-            info = SpanResult(
-                None,
-                tuple(texts) if frame.virtual and texts is not None else None,
-                frozenset(triples) if triples is not None else None,
-                frame.weight,
-                frame.opened,
-            )
-    for ancestor in blocked:
-        path.discard(ancestor)
-    return out, info
+    return out
 
 
 def render_document(plan, state, budget: int, indent: int | None) -> str:
@@ -418,10 +348,10 @@ def render_document(plan, state, budget: int, indent: int | None) -> str:
     root_key = (indent, root_triple, 0)
 
     # Cache-hot fast path: the whole document was rendered for this
-    # instance version (or provably re-renders identically after the
-    # migration's delta) -- hand the joined buffer back.  The path is empty
-    # here, so confirmation is the only reuse condition.
-    root_entry = _confirmed_entry(plan, state, root_key)
+    # instance version, or for an earlier one and no configuration in it
+    # has changed since -- hand the joined buffer back.  The path is empty
+    # here, so presence is the only reuse condition.
+    root_entry = state.renders.get(root_key)
     if root_entry is not None:
         cursor.charge(root_entry.weight)
         with plan._lock:
@@ -434,7 +364,7 @@ def render_document(plan, state, budget: int, indent: int | None) -> str:
             root_entry.document = document
         return document
 
-    out, _ = _render_span(plan, state, cursor, indent, root_triple, 0)
+    out = _render_span(plan, state, cursor, indent, root_triple, 0)
     document = "".join(out)
     if pretty:
         document = document[1:]
@@ -442,36 +372,3 @@ def render_document(plan, state, budget: int, indent: int | None) -> str:
     if root_entry is not None:
         root_entry.document = document
     return document
-
-
-def render_subtree(
-    plan,
-    state,
-    budget: int,
-    indent: int | None,
-    triple,
-    level: int,
-    blocked=(),
-) -> SpanResult:
-    """Render one subtree's span: the worker-side unit of ``repro.parallel``.
-
-    ``blocked`` is the root-to-node path above the subtree (for a direct
-    child of the root: the root's triple), so stop-condition hits inside
-    the subtree behave exactly as in a serial walk.  The span lands in this
-    process's rendered-span cache as a side effect, which is what "merging
-    per-worker memo caches" means: the parent re-installs the returned
-    entries, a worker keeps its own cache warm across tasks.
-    """
-    cursor = plan._cursor(state, budget)
-    blocked = frozenset(blocked)
-    entry = _confirmed_entry(plan, state, (indent, triple, level))
-    if entry is not None and blocked.isdisjoint(entry.triples):
-        cursor.charge(entry.weight)
-        with plan._lock:
-            plan._render_hits += 1
-        return SpanResult(
-            "".join(entry.chunks), entry.texts, entry.triples, entry.weight, entry.saved
-        )
-    out, info = _render_span(plan, state, cursor, indent, triple, level, blocked)
-    info.span = "".join(out)
-    return info

@@ -54,14 +54,16 @@ On top of them sits **incremental view maintenance**
 :class:`~repro.relational.delta.Delta`, the per-instance caches migrate to
 the updated instance instead of being discarded.  Memoised expansions are
 invalidated *per rule*: only ``(state, tag, register)`` entries whose rule
-queries read a changed relation are dropped (``cache_stats`` counts them as
-``invalidated`` vs ``retained``), and whole previously-built subtrees are
-reused by object identity when every configuration inside them provably
-re-expands the same way -- which also makes the
-:func:`~repro.xmltree.diff.diff_trees` edit script between the old and new
-documents cheap to compute.  Incremental output is always equal -- tree- and
-byte-wise -- to a from-scratch publish; the full republish stays as the
-executable specification and differential oracle.
+queries read a changed relation are re-checked (``cache_stats`` counts them
+as ``invalidated`` vs ``retained``), each once, at migration time; the ones
+whose expansion really differs form the step's ``changed`` set.  Confluence
+makes a cached subtree a function of its configurations' expansions, so
+whole previously-built subtrees and rendered spans carry over -- reused by
+object identity -- exactly when they contain no changed configuration,
+which also makes the :func:`~repro.xmltree.diff.diff_trees` edit script
+between the old and new documents cheap to compute.  Incremental output is
+always equal -- tree- and byte-wise -- to a from-scratch publish; the full
+republish stays as the executable specification and differential oracle.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ from __future__ import annotations
 import threading
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from repro.core.rules import GENERIC_REGISTER_NAME, RuleQuery, register_relation_name
@@ -98,6 +101,13 @@ Triple = tuple[str, str, RegisterContent]
 #: bounds the bookkeeping cost of structural sharing on blow-up outputs.
 _SUBTREE_TRIPLE_LIMIT = 4096
 
+#: A migration sweeps configurations unreachable from the root out of the
+#: caches once the memo has grown by this factor since the previous sweep,
+#: so a long-lived chain's caches stay proportional to its live document at
+#: amortised O(1) cost per memoised expansion.
+_SWEEP_GROWTH = 2
+
+
 def _warn_deprecated(method: str, replacement: str) -> None:
     """One :class:`DeprecationWarning` per callsite (the ``default`` filter
     keys on the caller's file and line) pointing at the serving layer."""
@@ -106,6 +116,18 @@ def _warn_deprecated(method: str, replacement: str) -> None:
         DeprecationWarning,
         stacklevel=3,
     )
+
+
+def _carried(entries: dict, changed: set, live: set | None, triple_of) -> dict:
+    """The cache entries a migration carries over: those naming no
+    configuration in ``changed`` -- ``isdisjoint`` walks the smaller set,
+    so each costs O(|changed|) -- and, after a sweep, keyed by a ``live``
+    configuration (``triple_of`` maps a key to it)."""
+    if live is not None:
+        entries = {key: entry for key, entry in entries.items() if triple_of(key) in live}
+    if not changed:
+        return dict(entries)
+    return {key: entry for key, entry in entries.items() if entry.triples.isdisjoint(changed)}
 
 
 def _shadowed_names(tag: str) -> frozenset[str]:
@@ -156,10 +178,13 @@ class CacheStats:
     instances:
         Distinct per-instance caches created (including migrated versions).
     invalidated:
-        Memoised expansions dropped by :meth:`PublishingPlan.republish`
+        Memoised expansions re-checked by :meth:`PublishingPlan.republish`
         because their rule queries read a changed relation.
     retained:
         Memoised expansions carried over across :meth:`republish` untouched.
+    changed:
+        Invalidated expansions whose re-check found a different expansion:
+        the configurations whose cached subtrees and spans were dropped.
     rendered_hits:
         Pre-rendered byte spans reused by the bytes-native publish path
         (:meth:`PublishingPlan.publish_bytes`).
@@ -173,6 +198,7 @@ class CacheStats:
     instances: int = 0
     invalidated: int = 0
     retained: int = 0
+    changed: int = 0
     rendered_hits: int = 0
     rendered_misses: int = 0
 
@@ -192,6 +218,7 @@ class CacheStats:
             "instances": self.instances,
             "invalidated": self.invalidated,
             "retained": self.retained,
+            "changed": self.changed,
             "rendered_hits": self.rendered_hits,
             "rendered_misses": self.rendered_misses,
             "hit_rate": self.hit_rate,
@@ -207,8 +234,9 @@ class RepublishResult:
     identity with the previous tree.  ``edits`` is the
     :class:`~repro.xmltree.diff.EditScript` from the previous tree to
     ``tree``, so consumers can ship the diff instead of the document.
-    ``invalidated`` / ``retained`` count the memoised expansions dropped
-    vs carried over by this step.  A result can be passed back to
+    ``invalidated`` / ``retained`` count the memoised expansions re-checked
+    vs carried over by this step, and ``changed`` the re-checked ones whose
+    expansion actually differs.  A result can be passed back to
     :meth:`PublishingPlan.republish` as ``prev`` to chain updates.
     """
 
@@ -218,6 +246,7 @@ class RepublishResult:
     delta: Delta
     invalidated: int = 0
     retained: int = 0
+    changed: int = 0
 
 
 class _CompiledItem:
@@ -272,23 +301,22 @@ class _SubtreeEntry:
 class _InstanceState:
     """Everything the plan caches for one source instance.
 
-    ``subtrees`` holds :class:`_SubtreeEntry` values known to be valid for
-    this instance; after a :meth:`PublishingPlan.republish` migration,
-    entries touching an invalidated ``(state, tag)`` pair are parked in
-    ``suspects`` and confirmed lazily against ``prior_expansions`` (the
-    expansions the previous version memoised for the invalidated pairs): a
-    suspect whose configurations all re-expand identically is promoted back,
-    anything else is dropped.  Suspects live for one migration generation
-    only -- the next migration discards whatever was never confirmed.
-
-    ``renders`` / ``render_suspects`` are the bytes-path analogue (see
-    :mod:`repro.engine.emit`): pre-rendered byte spans keyed by
-    ``(indent, triple, level)``, migrated and lazily confirmed exactly like
-    subtrees.  ``text_fragments`` memoises escaped character data per row
-    register (the encoded pipeline interns fragments on the shared encoder
-    instead, so they survive version migrations for free); it carries over
-    across migrations unconditionally because a text node's rendering is a
-    function of its register alone, never of the source instance.
+    ``subtrees`` holds :class:`_SubtreeEntry` values valid for this
+    instance, and ``renders`` is the bytes-path analogue (see
+    :mod:`repro.engine.emit`): pre-rendered byte spans keyed by ``(indent,
+    triple, level)``.  Every configuration an entry names is memoised in
+    ``expansions`` -- the invariant :meth:`PublishingPlan.republish` relies
+    on: a migration settles every memoised expansion on the new version, so
+    an entry none of whose configurations changed is still exact.
+    ``volatile`` indexes the memoised configurations of every ``(state,
+    tag)`` pair whose rule reads a source relation, so a migration finds
+    the ones to settle without scanning the memo.  ``text_fragments``
+    memoises escaped character data per row register (the encoded pipeline
+    interns fragments on the shared encoder instead, so they survive
+    version migrations for free); it carries over across migrations
+    because a text node's rendering is a function of its register alone,
+    never of the source instance.  ``sweep_mark`` is the memo size after
+    the lineage's last unreachable-entry sweep.
     """
 
     __slots__ = (
@@ -297,16 +325,11 @@ class _InstanceState:
         "active_domain",
         "ext_schemas",
         "expansions",
+        "volatile",
         "subtrees",
-        "suspects",
         "renders",
-        "render_suspects",
         "text_fragments",
-        "prior_expansions",
-        "invalid_pairs",
-        "prior_instance",
-        "delta",
-        "pair_checks",
+        "sweep_mark",
     )
 
     def __init__(self, instance: Instance) -> None:
@@ -322,20 +345,12 @@ class _InstanceState:
         self.active_domain = instance.active_domain()
         self.ext_schemas: dict[tuple[str, int], RelationalSchema] = {}
         self.expansions: dict[Triple, tuple[Triple, ...]] = {}
+        self.volatile: dict[tuple[str, str], set[Triple]] = {}
         self.subtrees: dict[Triple, _SubtreeEntry] = {}
-        self.suspects: dict[Triple, _SubtreeEntry] = {}
         # Keyed (indent, triple, level) -> repro.engine.emit._RenderEntry.
         self.renders: dict[tuple, object] = {}
-        self.render_suspects: dict[tuple, object] = {}
         self.text_fragments: dict[RegisterContent, str] = {}
-        self.prior_expansions: dict[Triple, tuple[Triple, ...]] = {}
-        self.invalid_pairs: frozenset[tuple[str, str]] = frozenset()
-        self.prior_instance: Instance | None = None
-        self.delta: Delta | None = None
-        # Per-(state, tag) delta-check machinery for this migration's delta:
-        # a list of (DeltaPlan, touched relations) or None for rules whose
-        # queries cannot be checked cheaply (unplanned / non-monotone).
-        self.pair_checks: dict[tuple[str, str], list | None] = {}
+        self.sweep_mark = 0
 
 
 class _Frame:
@@ -467,6 +482,9 @@ class PublishingPlan:
             for item in rule_.items:
                 sources.update(item.query.query.relation_names() - shadowed)
             self._pair_sources[(rule_.state, rule_.tag)] = frozenset(sources)
+        self._volatile_pairs = frozenset(
+            pair for pair, sources in self._pair_sources.items() if sources
+        )
         # Per-instance caches in LRU order (the batch-first working set).
         # The lock guards the LRU structure and the counters below so
         # concurrent publish() calls (ViewServer with a pool, threaded
@@ -482,6 +500,7 @@ class PublishingPlan:
         self._instances_seen = 0
         self._invalidated = 0
         self._retained = 0
+        self._changed = 0
         self._render_hits = 0
         self._render_misses = 0
         # Byte-template tables of the bytes-native publish path, one per
@@ -511,6 +530,7 @@ class PublishingPlan:
             "_instances_seen",
             "_invalidated",
             "_retained",
+            "_changed",
             "_render_hits",
             "_render_misses",
         ):
@@ -545,6 +565,7 @@ class PublishingPlan:
                 self._instances_seen,
                 self._invalidated,
                 self._retained,
+                self._changed,
                 self._render_hits,
                 self._render_misses,
             )
@@ -731,8 +752,7 @@ class PublishingPlan:
             prev_instance = prev
         budget = self._max_nodes if max_nodes is None else max_nodes
         delta = delta.normalized(prev_instance)
-        changed = delta.touched_relations()
-        if not changed:
+        if not delta.touched_relations():
             if prev_tree is None:
                 prev_tree = self._build_tree(self._instance_state(prev_instance), budget)
             return RepublishResult(prev_instance, prev_tree, EditScript(), delta)
@@ -747,15 +767,16 @@ class PublishingPlan:
             # in the other mode's register representation, so migrating
             # them would corrupt the output.  Cold-start instead.
             prev_state = None
-        invalidated = retained = 0
+        invalidated = retained = changed = 0
         if prev_state is not None:
-            state, invalidated, retained = self._migrated_state(
+            state, invalidated, retained, changed = self._migrated_state(
                 prev_state, new_instance, delta
             )
             self._install_state(new_instance, state)
             with self._lock:
                 self._invalidated += invalidated
                 self._retained += retained
+                self._changed += changed
         else:
             # The previous version's cache was evicted: cold start.
             state = self._instance_state(new_instance)
@@ -767,6 +788,7 @@ class PublishingPlan:
             delta,
             invalidated,
             retained,
+            changed,
         )
 
     def _migrated_state(
@@ -774,130 +796,145 @@ class PublishingPlan:
         prev_state: _InstanceState,
         new_instance: Instance,
         delta: Delta,
-    ) -> tuple[_InstanceState, int, int]:
+    ) -> tuple[_InstanceState, int, int, int]:
         """Carry a version's caches over to the updated instance.
 
-        Expansions of ``(state, tag)`` pairs whose rule queries read a
-        changed relation move to ``prior_expansions``; they are confirmed
-        lazily -- cheaply through the per-occurrence delta plans when
-        possible (:meth:`_delta_preserves`), by recompute-and-compare
-        otherwise -- so unaffected memo entries and subtrees survive.
-        Everything else is retained outright.  Subtree entries touching an
-        invalidated pair become suspects pending that confirmation.
-        """
-        changed = delta.touched_relations()
-        invalid_pairs = frozenset(
-            pair
-            for pair, sources in self._pair_sources.items()
-            if sources & changed
-        )
-        state = _InstanceState(new_instance)
-        state.prior_instance = prev_state.instance
-        state.delta = delta
-        # The schema is unchanged by a delta, so the overlay schemas carry
-        # over; sharing the dict lets both versions warm it further.
-        state.ext_schemas = prev_state.ext_schemas
-        retained: dict[Triple, tuple[Triple, ...]] = {}
-        prior: dict[Triple, tuple[Triple, ...]] = {}
-        for triple, expansion in prev_state.expansions.items():
-            if (triple[0], triple[1]) in invalid_pairs:
-                prior[triple] = expansion
-            else:
-                retained[triple] = expansion
-        state.expansions = retained
-        state.prior_expansions = prior
-        state.invalid_pairs = invalid_pairs
-        for triple, entry in prev_state.subtrees.items():
-            if any((t[0], t[1]) in invalid_pairs for t in entry.triples):
-                state.suspects[triple] = entry
-            else:
-                state.subtrees[triple] = entry
-        for key, rentry in prev_state.renders.items():
-            if any((t[0], t[1]) in invalid_pairs for t in rentry.triples):
-                state.render_suspects[key] = rentry
-            else:
-                state.renders[key] = rentry
-        # Text rendering is a function of the register alone; fragments
-        # survive every delta.  (Encoded lineages intern on the encoder.)
-        state.text_fragments = prev_state.text_fragments
-        return state, len(prior), len(retained)
+        Expansions of ``(state, tag)`` pairs whose rule queries read no
+        changed relation are retained outright.  Every other memoised
+        expansion is settled here, once: adopted when the per-occurrence
+        delta plans prove it unchanged (:meth:`_unproven`), recomputed and
+        compared otherwise.  The configurations whose expansion really
+        differs form ``changed``, and a cached subtree or rendered span
+        carries over iff it names none of them -- confluence makes it a
+        function of its configurations' expansions.  When the
+        memo has grown :data:`_SWEEP_GROWTH`-fold since the last sweep,
+        configurations unreachable from the root are dropped from every
+        cache first, so churn cannot grow them past the live document.
 
-    def _confirm_triples(
-        self, state: _InstanceState, triples: frozenset[Triple]
-    ) -> bool:
-        """Confirm a migrated cache entry: every configuration of the entry
-        belonging to an invalidated ``(state, tag)`` pair must re-expand --
-        memoised, so the work is shared across entries -- exactly as the
-        previous version memoised it."""
-        prior = state.prior_expansions
-        invalid_pairs = state.invalid_pairs
-        for t in triples:
-            if (t[0], t[1]) in invalid_pairs:
-                if self._expansion(state, t) != prior.get(t):
-                    return False
-        return True
+        Returns the state and the invalidated / retained / changed counts.
+        """
+        touched = delta.touched_relations()
+        state = _InstanceState(new_instance)
+        # The schema is unchanged by a delta, so the overlay schemas carry
+        # over; sharing the dict lets both versions warm it further.  Text
+        # rendering is a function of the register alone, so fragments
+        # survive every delta.  (Encoded lineages intern on the encoder.)
+        state.ext_schemas = prev_state.ext_schemas
+        state.text_fragments = prev_state.text_fragments
+        state.sweep_mark = prev_state.sweep_mark
+        memo = prev_state.expansions
+        live = None
+        if len(memo) >= _SWEEP_GROWTH * prev_state.sweep_mark:
+            live = self._reachable(memo)
+            expansions = {t: e for t, e in memo.items() if t in live}
+            volatile = {pair: keys & live for pair, keys in prev_state.volatile.items()}
+            texts = {t[2] for t in live if t[1] == TEXT_TAG}
+            state.text_fragments = {
+                register: fragment
+                for register, fragment in prev_state.text_fragments.items()
+                if register in texts
+            }
+            state.sweep_mark = len(expansions)
+        else:
+            # The memo is copied before its index (see _expansion).
+            expansions = dict(memo)
+            volatile = {pair: set(keys) for pair, keys in prev_state.volatile.items()}
+        state.expansions = expansions
+        state.volatile = volatile
+        prior = prev_state.instance
+        changed: set[Triple] = set()
+        invalidated = recomputed = 0
+        for pair in self._volatile_pairs:
+            if not self._pair_sources[pair] & touched:
+                continue
+            triples = [t for t in volatile.get(pair, ()) if t in expansions]
+            if not triples:
+                continue
+            invalidated += len(triples)
+            info = self._pair_delta_info(state, prior, delta, pair, triples)
+            for triple in self._unproven(state, prior, delta, info, triples):
+                recomputed += 1
+                fresh = self._expand(state, triple)
+                if fresh != expansions[triple]:
+                    changed.add(triple)
+                    expansions[triple] = fresh
+        with self._lock:
+            self._misses += recomputed
+        state.subtrees = _carried(prev_state.subtrees, changed, live, lambda key: key)
+        state.renders = _carried(prev_state.renders, changed, live, itemgetter(1))
+        return state, invalidated, len(expansions) - invalidated, len(changed)
+
+    def _reachable(self, expansions: dict[Triple, tuple[Triple, ...]]) -> set[Triple]:
+        """The configurations reachable from the root through ``expansions``."""
+        root = self._root_triple()
+        live = {root}
+        stack = [root]
+        while stack:
+            for child in expansions.get(stack.pop(), ()):
+                if child not in live:
+                    live.add(child)
+                    stack.append(child)
+        return live
 
     def _subtree_entry(
         self, state: _InstanceState, cursor: _Cursor, triple: Triple
     ) -> _SubtreeEntry | None:
         """A reusable cached subtree for ``triple``, or ``None``.
 
-        Suspects (entries parked by a migration) are confirmed here: every
-        configuration of the subtree belonging to an invalidated pair is
-        re-expanded -- memoised, so the work is shared across entries -- and
-        must match what the previous version memoised.  Reuse additionally
-        requires the current root-to-node path to be disjoint from the
+        Reuse requires the current root-to-node path to be disjoint from the
         subtree's configurations, which keeps the stop condition exact.
         """
         entry = state.subtrees.get(triple)
-        if entry is None:
-            entry = state.suspects.pop(triple, None)
-            if entry is None:
-                return None
-            if not self._confirm_triples(state, entry.triples):
-                return None
-            state.subtrees[triple] = entry
-        if not cursor.path_disjoint(entry.triples):
+        if entry is None or not cursor.path_disjoint(entry.triples):
             return None
         return entry
 
-    def _delta_preserves(self, state: _InstanceState, triple: Triple) -> bool:
-        """Cheap sufficient check that ``triple`` re-expands identically.
+    def _unproven(
+        self,
+        state: _InstanceState,
+        prior: Instance,
+        delta: Delta,
+        info: _PairDelta,
+        triples: list[Triple],
+    ) -> list[Triple]:
+        """The memoised configurations of one rule that the delta checks
+        cannot prove to re-expand identically.
 
         The semi-naive device of :mod:`repro.query.delta`, applied at the
         rule level: for every rule query reading a changed relation, the
         per-occurrence delta variants are run with the (tiny) changed tuple
         sets -- insertions against the updated overlay, deletions against
-        the previous version's overlay.  Monotonicity bounds the query's
-        answer changes by those candidate sets, so when every variant comes
-        back empty the answers -- and hence the grouped expansion -- are
-        provably unchanged without re-evaluating any full rule query.
-        Returns ``False`` (meaning *unknown*, not *changed*) for unplanned
-        or non-monotone rule queries.
+        the overlay of ``prior``, the previous version.  Monotonicity bounds
+        the query's answer changes by those candidate sets, so when every
+        variant comes back empty the answers -- and hence the grouped
+        expansion -- are provably unchanged without re-evaluating any full
+        rule query.  ``info`` is the rule's :meth:`_pair_delta_info`; rules
+        with unplanned or non-monotone queries prove nothing.
         """
-        delta = state.delta
-        if delta is None or state.prior_instance is None:
-            return False
-        q, tag, register = triple
-        if tag == TEXT_TAG:
-            return True  # the expansion is () on every instance
-        pair = (q, tag)
-        info = state.pair_checks.get(pair)
-        if info is None:
-            info = self._pair_delta_info(state, pair, delta)
-            state.pair_checks[pair] = info
         mode = info.mode
         if mode == "clean":
-            return True
-        if mode == "recompute":
-            return False
+            return []
+        if mode == "recompute" or info.dirty_all:
+            return triples
         if mode == "witness":
-            return not info.dirty_all and register.isdisjoint(info.dirty)
-        # "variants": run the per-occurrence delta plans against this node's
-        # overlays; empty candidates on every occurrence prove the answers
-        # (and hence the expansion) unchanged.
+            dirty = info.dirty
+            return [t for t in triples if not t[2].isdisjoint(dirty)]
+        return [t for t in triples if not self._variants_clean(state, prior, delta, info, t)]
+
+    def _variants_clean(
+        self,
+        state: _InstanceState,
+        prior: Instance,
+        delta: Delta,
+        info: _PairDelta,
+        triple: Triple,
+    ) -> bool:
+        """The "variants" check of :meth:`_unproven`: run the per-occurrence
+        delta plans against one register's overlays; empty candidates on
+        every occurrence prove its answers (and expansion) unchanged."""
+        _, tag, register = triple
         if state.encoder is not None:
-            return self._variants_clean_encoded(state, tag, register, info, delta)
+            return self._variants_clean_encoded(state, prior, delta, info, tag, register)
         new_overlay = self._overlay(state, tag, register)
         old_overlay: Instance | None = None
         for machinery, touched in info.checks:
@@ -911,28 +948,30 @@ class PublishingPlan:
                 deleted = delta.deleted_from(relation)
                 if deleted:
                     if old_overlay is None:
-                        old_overlay = self._overlay(
-                            state, tag, register, base=state.prior_instance
-                        )
+                        old_overlay = self._overlay(state, tag, register, base=prior)
                     for variant in machinery.variants[relation]:
                         if variant.execute(old_overlay, {name: deleted}):
                             return False
         return True
 
     def _variants_clean_encoded(
-        self, state: _InstanceState, tag: str, register, info, delta: Delta
+        self,
+        state: _InstanceState,
+        prior: Instance,
+        delta: Delta,
+        info: _PairDelta,
+        tag: str,
+        register: RegisterContent,
     ) -> bool:
-        """The "variants" check of :meth:`_delta_preserves` in integer space.
+        """:meth:`_variants_clean` in integer space.
 
         The register stays encoded and is fed to the delta variants through
         the encoded-override channel (shadowing both register names), with
         the tiny delta change sets interned on the fly; insertions run
-        against the updated instance, deletions against the previous one.
+        against the updated instance, deletions against ``prior`` (which
+        shares the encoder: :meth:`republish` cold-starts mixed lineages).
         """
         encoder = state.encoder
-        prior = state.prior_instance
-        if prior is None or prior._encoding is not encoder:
-            return False
         specific = register_relation_name(tag)
         reg_overrides = {GENERIC_REGISTER_NAME: register, specific: register}
         for machinery, touched in info.checks:
@@ -954,17 +993,23 @@ class PublishingPlan:
         return True
 
     def _pair_delta_info(
-        self, state: _InstanceState, pair: tuple[str, str], delta: Delta
+        self,
+        state: _InstanceState,
+        prior: Instance,
+        delta: Delta,
+        pair: tuple[str, str],
+        triples: list[Triple],
     ) -> _PairDelta:
         """Classify one rule's sensitivity to the migration delta.
 
-        Computed once per republish generation.  When every affected rule
+        Computed once per rule and migration.  When every affected rule
         query admits register witnesses, the delta variants run *once per
-        rule* -- the register scans overridden by the union of every
-        invalidated register of this rule, insertions against the updated
-        source and deletions against the previous one -- and the projected
-        witness tuples become the ``dirty`` register index, making the
-        per-register check a set-disjointness test.
+        rule* -- the register scans overridden by the union of the
+        registers of ``triples`` (the rule's memoised configurations),
+        insertions against the updated source and deletions against
+        ``prior`` -- and the projected witness tuples become the ``dirty``
+        register index, making the per-register check a set-disjointness
+        test.
         """
         items = self._dispatch(*pair)
         if not items:
@@ -997,31 +1042,22 @@ class PublishingPlan:
             if witnesses is None:
                 return _PairDelta("variants", checks=tuple(checks))
             witnessed.append((machinery, touched, witnesses))
-        state_q, tag = pair
         pool: set[tuple[DataValue, ...]] = set()
-        for triple in state.prior_expansions:
-            if triple[0] == state_q and triple[1] == tag:
-                pool |= triple[2]
+        for triple in triples:
+            pool |= triple[2]
         reg_rows = frozenset(pool)
-        specific = register_relation_name(tag)
+        specific = register_relation_name(pair[1])
         dirty: set[tuple[DataValue, ...]] = set()
         dirty_all = False
         encoder = state.encoder
-        if encoder is not None and (
-            state.prior_instance is None
-            or state.prior_instance._encoding is not encoder
-        ):
-            # Mixed-encoding lineage (should not happen via republish):
-            # no cheap per-register check is trustworthy.
-            return _PAIR_RECOMPUTE
         for machinery, touched, witnesses in witnessed:
             name = machinery.delta_name
             for relation in touched:
                 for rows, source in (
                     (delta.inserted_into(relation), state.instance),
-                    (delta.deleted_from(relation), state.prior_instance),
+                    (delta.deleted_from(relation), prior),
                 ):
-                    if not rows or source is None:
+                    if not rows:
                         continue
                     if encoder is not None:
                         # Encoded pipeline: the register pool is already in
@@ -1120,49 +1156,48 @@ class PublishingPlan:
             with self._lock:
                 self._hits += 1
             return found
-        prior = state.prior_expansions.get(triple)
-        if prior is not None and self._delta_preserves(state, triple):
-            # Semi-naive adoption: the delta provably leaves this rule's
-            # answers unchanged, so the previous version's expansion is
-            # promoted without evaluating any full rule query.
-            state.expansions[triple] = prior
-            with self._lock:
-                self._hits += 1
-            return prior
         with self._lock:
             self._misses += 1
+        result = self._expand(state, triple)
+        pair = (triple[0], triple[1])
+        if pair in self._volatile_pairs:
+            # Indexed before the memo insert: a migration copying the memo
+            # then always finds the entry in its copy of the index.
+            state.volatile.setdefault(pair, set()).add(triple)
+        state.expansions[triple] = result
+        return result
+
+    def _expand(self, state: _InstanceState, triple: Triple) -> tuple[Triple, ...]:
+        """Evaluate a configuration's rule queries: its one-step expansion."""
         q, tag, register = triple
         items = self._dispatch(q, tag)
         if not items or tag == TEXT_TAG:
-            result: tuple[Triple, ...] = ()
-        elif state.encoder is not None:
-            result = self._expand_encoded(state, tag, register, items)
-        else:
-            extended = self._overlay(state, tag, register)
-            children: list[Triple] = []
-            for item in items:
-                answers = item.evaluate(extended)
-                if not answers:
-                    continue
-                group_arity = item.group_arity
-                if group_arity == 0:
-                    children.append((item.state, item.tag, frozenset(answers)))
-                    continue
-                groups: dict[tuple[DataValue, ...], set[tuple[DataValue, ...]]] = {}
-                for row in answers:
-                    groups.setdefault(row[:group_arity], set()).add(row)
-                if len(groups) == 1:
-                    # Ubiquitous on recursive views (one child per step):
-                    # nothing to order, skip the sort-key construction.
-                    children.append(
-                        (item.state, item.tag, frozenset(next(iter(groups.values()))))
-                    )
-                    continue
-                for key in sorted(groups, key=tuple_order_key):
-                    children.append((item.state, item.tag, frozenset(groups[key])))
-            result = tuple(children)
-        state.expansions[triple] = result
-        return result
+            return ()
+        if state.encoder is not None:
+            return self._expand_encoded(state, tag, register, items)
+        extended = self._overlay(state, tag, register)
+        children: list[Triple] = []
+        for item in items:
+            answers = item.evaluate(extended)
+            if not answers:
+                continue
+            group_arity = item.group_arity
+            if group_arity == 0:
+                children.append((item.state, item.tag, frozenset(answers)))
+                continue
+            groups: dict[tuple[DataValue, ...], set[tuple[DataValue, ...]]] = {}
+            for row in answers:
+                groups.setdefault(row[:group_arity], set()).add(row)
+            if len(groups) == 1:
+                # Ubiquitous on recursive views (one child per step):
+                # nothing to order, skip the sort-key construction.
+                children.append(
+                    (item.state, item.tag, frozenset(next(iter(groups.values()))))
+                )
+                continue
+            for key in sorted(groups, key=tuple_order_key):
+                children.append((item.state, item.tag, frozenset(groups[key])))
+        return tuple(children)
 
     def _expand_encoded(
         self,
@@ -1227,7 +1262,7 @@ class PublishingPlan:
         """The source extended with the register relations -- without copying it.
 
         ``base`` substitutes another source of the same schema (the previous
-        version, when the delta checks of :meth:`_delta_preserves` need the
+        version, when the delta checks of :meth:`_variants_clean` need the
         pre-update overlay); the overlay schemas are shared either way.
         """
         if register:

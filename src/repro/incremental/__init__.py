@@ -16,8 +16,9 @@ subsystem makes all four layers update-aware and ties them together:
   negation, flagged in ``explain()``;
 * **engine** -- :meth:`~repro.engine.plan.PublishingPlan.republish`:
   fine-grained memo invalidation (only expansions whose rule queries read a
-  changed relation are dropped; ``cache_stats`` counts ``invalidated`` /
-  ``retained``) plus structural sharing of unchanged output subtrees;
+  changed relation are re-checked; ``cache_stats`` counts ``invalidated`` /
+  ``retained`` / ``changed``) plus structural sharing of unchanged output
+  subtrees;
 * **xmltree** -- :class:`~repro.xmltree.diff.EditScript` /
   :func:`~repro.xmltree.diff.diff_trees`: ship insert / delete /
   replace-subtree events instead of full documents.

@@ -1,10 +1,7 @@
 """Multi-core publishing: a stdlib process pool over the compiled stack.
 
-Three parallel surfaces, one pool (:class:`WorkerPool`):
+Two parallel surfaces, one pool (:class:`WorkerPool`):
 
-* :func:`parallel_publish_bytes` fans the sibling subtrees of one publish
-  across workers (confluent expansions over an immutable snapshot are
-  embarrassingly parallel) and splices the spans byte-identically;
 * ``ViewServer(pool=...)`` (:mod:`repro.serve.server`) runs batches of
   ``publish()`` calls for different views/versions concurrently
   (:meth:`~repro.serve.server.ViewServer.publish_batch`);
@@ -22,7 +19,6 @@ from repro.parallel.pool import (
     WorkerPool,
     WorkerTaskError,
 )
-from repro.parallel.publish import parallel_publish_bytes
 
 __all__ = [
     "NotShippable",
@@ -30,5 +26,4 @@ __all__ = [
     "WorkerCrashed",
     "WorkerPool",
     "WorkerTaskError",
-    "parallel_publish_bytes",
 ]

@@ -2,8 +2,8 @@
 
 The paper's transducers are confluent: every ``(state, tag, register)``
 expansion is a pure function of its own triple over an immutable MVCC
-snapshot.  That makes three levels of the stack embarrassingly parallel --
-sibling subtrees of one publish, independent ``publish()`` calls of a
+snapshot.  That makes two levels of the stack embarrassingly parallel --
+independent ``publish()`` calls of a
 :class:`~repro.serve.server.ViewServer`, and per-``(view, source, binding)``
 subscriber groups of the network tier -- provided the compiled artefacts
 can cross a process boundary.  They can: plans pickle without their caches
@@ -210,7 +210,6 @@ class WorkerPool:
             "tasks_dispatched": 0,
             "installs_shipped": 0,
             "failures": 0,
-            "span_merges": 0,
         }
         self._worker_cache: dict[str, int] = {}
 
@@ -419,12 +418,6 @@ class WorkerPool:
                 )
 
     # -- observability -------------------------------------------------------
-
-    def note_merges(self, count: int) -> None:
-        """Record parent-side re-installs of worker-rendered spans."""
-        if count:
-            with self._lock:
-                self._counters["span_merges"] += count
 
     @property
     def broken(self) -> bool:

@@ -48,28 +48,6 @@ def _publish_bytes(registry, plan_token, instance_token, indent=2, max_nodes=Non
     return plan.publish_bytes(instance, indent=indent, max_nodes=max_nodes)
 
 
-@task("render_spans")
-def _render_spans(
-    registry, plan_token, instance_token, triples, level, indent, budget, blocked
-):
-    """Render sibling subtrees of one publish (parallel expansion).
-
-    ``triples`` are encoded int-only (or row) register configurations --
-    exactly the memo keys -- and ``blocked`` is the ancestor path, so the
-    stop condition behaves as in a serial walk.  Returns one
-    :class:`~repro.engine.emit.SpanResult` per triple, in order.
-    """
-    from repro.engine.emit import render_subtree
-
-    plan = _registry_get(registry, plan_token)
-    instance = _registry_get(registry, instance_token)
-    state = plan._instance_state(instance)
-    return [
-        render_subtree(plan, state, budget, indent, triple, level, blocked)
-        for triple in triples
-    ]
-
-
 @task("encode_events")
 def _encode_events(registry, events):
     """Wire-encode one subscriber group's pending commit events.

@@ -1288,9 +1288,10 @@ class ViewServer:
         if output in ("bytes", "xml", "compact"):
             # Serialised forms of a maintained chain render through the
             # bytes-native driver rather than re-walking the maintained
-            # tree: the republish that advanced the chain migrated the
-            # rendered-span cache, so only invalidated spans re-render and
-            # an unchanged document is a buffer handoff.  The instance is
+            # tree: the republishes that advanced the chain carried the
+            # rendered-span cache over, so only spans around changed
+            # configurations re-render and an unchanged document is a
+            # buffer handoff.  The instance is
             # the chain's own snapshot object (``_instance_for`` is cached
             # per version), so the plan's per-instance caches are shared.
             instance = handle._instance_for(snapshot, backend)

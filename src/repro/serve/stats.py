@@ -97,7 +97,7 @@ class ServerStats:
     deliveries: int
     maintained_views: int
     #: ``WorkerPool.stats()`` of the attached pool (worker count, per-worker
-    #: task tallies, merged worker-side cache counters, span merges), or
+    #: task tallies, merged worker-side cache counters), or
     #: ``None`` when the server runs serial.
     pool: dict | None = None
 
@@ -119,7 +119,6 @@ class ServerStats:
                 f"  pool: {self.pool.get('workers', 0)} worker(s) "
                 f"({self.pool.get('alive', 0)} alive), "
                 f"{self.pool.get('tasks_dispatched', 0)} task(s) dispatched, "
-                f"{self.pool.get('span_merges', 0)} span(s) merged back, "
                 f"worker caches {worker_cache.get('hits', 0)} hits / "
                 f"{worker_cache.get('misses', 0)} misses"
             )
@@ -131,7 +130,8 @@ class ServerStats:
                 f"backend={view.last_backend or 'none yet'}, "
                 f"memo hit rate {cache.get('hit_rate', 0.0):.1%} "
                 f"({cache.get('invalidated', 0)} invalidated / "
-                f"{cache.get('retained', 0)} retained across republishes, "
+                f"{cache.get('retained', 0)} retained / "
+                f"{cache.get('changed', 0)} changed across republishes, "
                 f"rendered spans {cache.get('rendered_hits', 0)} reused / "
                 f"{cache.get('rendered_misses', 0)} rendered)"
             )
@@ -171,6 +171,7 @@ def collect_stats(server: "ViewServer") -> ServerStats:
             "instances": 0,
             "invalidated": 0,
             "retained": 0,
+            "changed": 0,
             "rendered_hits": 0,
             "rendered_misses": 0,
         }
@@ -393,8 +394,8 @@ class ExplainReport:
             worker_cache = self.pool.get("worker_cache", {})
             lines.append(
                 f"  pool: {self.pool.get('workers', 0)} worker(s), "
-                f"{self.pool.get('tasks_dispatched', 0)} task(s) dispatched, "
-                f"{self.pool.get('span_merges', 0)} merge(s); worker caches "
+                f"{self.pool.get('tasks_dispatched', 0)} task(s) dispatched; "
+                f"worker caches "
                 f"{worker_cache.get('hits', 0)} hits / "
                 f"{worker_cache.get('misses', 0)} misses"
             )
@@ -460,7 +461,8 @@ def explain_view(
     cache = plan.cache_stats.as_dict()
     maintenance = (
         f"republish: {cache.get('invalidated', 0)} invalidated / "
-        f"{cache.get('retained', 0)} retained; rules: {semi_naive} semi-naive, "
+        f"{cache.get('retained', 0)} retained / {cache.get('changed', 0)} changed; "
+        f"rules: {semi_naive} semi-naive, "
         f"{recompute} recompute-fallback, {unplanned} unplanned"
     )
     typecheck = None

@@ -2,8 +2,7 @@
 
 The contract under test is one sentence long: **pooled output is
 byte-identical to serial output, always** -- on every backend x maintenance
-x output combination, for single-publish subtree fan-out
-(:func:`parallel_publish_bytes`), batched serving
+x output combination, for batched serving
 (:meth:`ViewServer.publish_batch`) and the network tier's sharded
 subscriber fan-out -- and every pool failure (worker crash, unpicklable
 artefact, dead fleet) degrades to the serial path rather than to an error
@@ -19,14 +18,12 @@ import threading
 
 import pytest
 
-from repro.core.runtime import TransformationLimitError
 from repro.engine.plan import compile_plan
 from repro.parallel import (
     NotShippable,
     PoolBroken,
     WorkerCrashed,
     WorkerPool,
-    parallel_publish_bytes,
 )
 from repro.relational.columnar import encoded_twin
 from repro.relational.delta import Delta
@@ -42,7 +39,6 @@ from repro.workloads.registrar import (
     registrar_view_suite,
     tau1_prerequisite_hierarchy,
     tau2_prerequisite_closure,
-    tau3_courses_without_db_prereq,
 )
 from repro.xmltree.diff import trees_equal
 
@@ -51,18 +47,6 @@ from repro.xmltree.diff import trees_equal
 def pool():
     with WorkerPool(workers=2) as shared:
         yield shared
-
-
-def _fresh_views():
-    """(name, transducer, instance) triples covering tau1-tau3 + blow-ups."""
-    registrar = example_registrar_instance()
-    return [
-        ("tau1", tau1_prerequisite_hierarchy(), registrar),
-        ("tau2", tau2_prerequisite_closure("CS"), registrar),
-        ("tau3", tau3_courses_without_db_prereq(), registrar),
-        ("diamonds", chain_of_diamonds_transducer(), chain_of_diamonds_instance(5)),
-        ("counter", binary_counter_transducer(), binary_counter_instance(2)),
-    ]
 
 
 class TestPoolBasics:
@@ -95,60 +79,6 @@ class TestPoolBasics:
         assert small.broken
         with pytest.raises(PoolBroken):
             small.submit("ping", 1)
-
-
-class TestParallelPublishBytes:
-    """Part (a): sibling subtrees of one publish fanned across workers."""
-
-    @pytest.mark.parametrize("encoded", [False, True], ids=["row", "columnar"])
-    @pytest.mark.parametrize("indent", [2, None], ids=["pretty", "compact"])
-    def test_byte_identity_all_views(self, pool, encoded, indent):
-        for name, tau, instance in _fresh_views():
-            if encoded:
-                instance = encoded_twin(instance)
-            serial = compile_plan(tau).publish_bytes(instance, indent=indent)
-            plan = compile_plan(tau)
-            pooled = parallel_publish_bytes(
-                plan, instance, pool, indent=indent
-            )
-            assert pooled == serial, name
-
-    def test_warm_cache_and_republish_after_parallel(self, pool):
-        # Spans merged back from workers must serve a later serial publish
-        # and survive an incremental republish without corrupting output.
-        tau = tau1_prerequisite_hierarchy()
-        instance = example_registrar_instance()
-        plan = compile_plan(tau)
-        first = parallel_publish_bytes(plan, instance, pool)
-        assert plan.publish_bytes(instance) == first  # cache-hot serial
-        assert parallel_publish_bytes(plan, instance, pool) == first
-
-    def test_budget_error_matches_serial(self, pool):
-        tau = chain_of_diamonds_transducer()
-        instance = chain_of_diamonds_instance(6)
-        plan = compile_plan(tau, max_nodes=10)
-        with pytest.raises(TransformationLimitError):
-            plan.publish_bytes(instance)
-        plan = compile_plan(tau, max_nodes=10)
-        with pytest.raises(TransformationLimitError):
-            parallel_publish_bytes(plan, instance, pool)
-
-    def test_serial_fallback_without_pool(self):
-        tau = tau1_prerequisite_hierarchy()
-        instance = example_registrar_instance()
-        serial = compile_plan(tau).publish_bytes(instance)
-        assert parallel_publish_bytes(compile_plan(tau), instance, None) == serial
-
-    def test_serial_fallback_when_install_fails(self, pool, monkeypatch):
-        tau = tau1_prerequisite_hierarchy()
-        instance = example_registrar_instance()
-        serial = compile_plan(tau).publish_bytes(instance)
-        monkeypatch.setattr(
-            pool,
-            "install",
-            lambda obj: (_ for _ in ()).throw(NotShippable("forced")),
-        )
-        assert parallel_publish_bytes(compile_plan(tau), instance, pool) == serial
 
 
 class TestPublishBatch:
@@ -315,30 +245,33 @@ class TestDegradation:
             assert out == [oracle] * 3
             assert crashy.broken
 
-    def test_parallel_publish_survives_dead_fleet(self):
-        with WorkerPool(workers=1) as crashy:
-            tau = tau1_prerequisite_hierarchy()
-            instance = example_registrar_instance()
-            serial = compile_plan(tau).publish_bytes(instance)
-            crashy.submit("ping", 1).result()
-            for worker in crashy._workers:
+    def test_crashed_future_raises_worker_crashed(self, monkeypatch):
+        import multiprocessing
+        import os
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the test handler reaches the worker by fork inheritance")
+        from repro.parallel import tasks
+
+        # Registered before the pool forks, so the worker inherits it and
+        # the pipe.  It never answers until a byte arrives, so the future
+        # can only end by the worker's death -- no race against a fast
+        # reply.  (A multiprocessing.Event would not do: its set() waits for
+        # every sleeper to acknowledge, and the killed worker never does.)
+        release, tell = os.pipe()
+        monkeypatch.setitem(tasks.HANDLERS, "block", lambda registry: os.read(release, 1))
+        try:
+            with WorkerPool(workers=1, start_method="fork") as crashy:
+                future = crashy.submit("block")
+                worker = crashy._workers[0]
                 worker.process.terminate()
                 worker.process.join(timeout=5)
-            assert parallel_publish_bytes(
-                compile_plan(tau), instance, crashy
-            ) == serial
-
-    def test_crashed_future_raises_worker_crashed(self):
-        with WorkerPool(workers=1) as crashy:
-            crashy.submit("ping", 1).result()
-            worker = crashy._workers[0]
-            # A long-running handler is not needed: terminate first, then
-            # observe the already-dispatched future fail.
-            future = crashy.submit("ping", 2)
-            worker.process.terminate()
-            worker.process.join(timeout=5)
-            with pytest.raises((WorkerCrashed, PoolBroken)):
-                future.result(timeout=10)
+                with pytest.raises((WorkerCrashed, PoolBroken)):
+                    future.result(timeout=10)
+        finally:
+            os.write(tell, b"x")
+            os.close(tell)
+            os.close(release)
 
 
 class TestConcurrentServing:
