@@ -190,7 +190,7 @@ def measure_publish_byte_identity(num_courses: int = 60, diamonds: int = 8) -> d
             3,
             batches=3,
         )
-        # The bytes-native driver (repro.engine.emit) on the encoded twin:
+        # The bytes-native driver (repro.engine.walk) on the encoded twin:
         # identical bytes, measured cold (fresh plan per run, like the rest).
         bytes_xml = compile_plan(
             transducer, max_nodes=max_nodes or 200_000

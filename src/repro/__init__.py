@@ -11,13 +11,12 @@ The package is organised by subsystem:
 * :mod:`repro.core` -- publishing transducers ``PT(L, S, O)`` (the paper's
   primary contribution): rules, runtime, classification, relational view;
 * :mod:`repro.engine` -- the compiled, streaming, batch-first publishing API
-  (the primary evaluation surface: builder DSL, plans, event streams);
-* :mod:`repro.incremental` -- delta-driven incremental view maintenance
-  across all four layers (deltas, answer maintenance, republish, edit
-  scripts);
+  (the primary evaluation surface: builder DSL, plans, event streams, and
+  delta-driven republish with edit scripts);
 * :mod:`repro.serve` -- the unified serving layer: a :class:`ViewServer`
   holding named views (from any front-end) over versioned sources, with
-  snapshots, parameter bindings, subscriptions and aggregated stats;
+  snapshots, parameter bindings, subscriptions (incremental view
+  maintenance, one edit script per commit) and aggregated stats;
 * :mod:`repro.analysis` -- the Section 5 decision problems and Table II;
 * :mod:`repro.transductions` -- logical transductions (Theorem 4);
 * :mod:`repro.languages` -- the ten publishing-language front-ends (Table I);
@@ -36,7 +35,6 @@ from repro.engine import (
     TransducerBuilder,
     compile_plan,
 )
-from repro.incremental import IncrementalPublisher
 from repro.query import QueryPlan, plan_query
 from repro.relational import Delta, Instance, RelationalSchema
 from repro.serve import (
@@ -55,7 +53,6 @@ __all__ = [
     "Delta",
     "EditScript",
     "Engine",
-    "IncrementalPublisher",
     "Instance",
     "PublishingPlan",
     "PublishingTransducer",

@@ -10,17 +10,19 @@ streaming tree transducers:
   -- compile a transducer once into a :class:`~repro.engine.plan.PublishingPlan`;
 * :meth:`~repro.engine.plan.PublishingPlan.publish`,
   :meth:`~repro.engine.plan.PublishingPlan.publish_events`,
+  :meth:`~repro.engine.plan.PublishingPlan.publish_bytes`,
   :meth:`~repro.engine.plan.PublishingPlan.publish_full`,
   :meth:`~repro.engine.plan.PublishingPlan.republish` -- the core drivers:
-  materialised, streaming, interpreter-compatible and delta-incremental
-  evaluation over one compiled plan, with memoised ``(state, tag,
-  register)`` expansions and explicit cache statistics.
+  materialised, streaming, serialised, interpreter-compatible and
+  delta-incremental evaluation over one compiled plan, with memoised
+  ``(state, tag, register)`` expansions and explicit cache statistics;
+* :func:`~repro.engine.walk.walk` -- the one expansion walker behind every
+  driver, feeding a tree, bytes, event or annotated sink and sharing one
+  clean-subtree cache across them.
 
 The engine is the *kernel* of the stack; the recommended serving surface on
 top of it is :class:`repro.serve.ViewServer`, which routes output format,
-execution backend and maintenance strategy in a single ``publish`` call.
-The batch / serialisation conveniences (``publish_many`` / ``publish_iter``
-/ ``publish_xml``) are deprecated shims delegating to :mod:`repro.serve`,
+execution backend and maintenance strategy in a single ``publish`` call,
 and the classic :func:`repro.core.runtime.publish` entry points remain thin
 wrappers over this engine.
 """

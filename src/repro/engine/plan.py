@@ -24,7 +24,9 @@ register)`` configuration repeats thousands of times.
   ubiquitous in recursive views like the prerequisite hierarchy -- cost a
   dictionary lookup instead of a query evaluation.
 
-Three evaluation modes share that machinery:
+Four output forms share that machinery, each one walk over the memoised
+expansions (:func:`repro.engine.walk.walk`) into its own sink, with one
+clean-subtree cache across them:
 
 * :meth:`PublishingPlan.publish` -- the materialised Σ-tree of one instance
   (batches of instances share the plan's LRU-bounded per-instance caches);
@@ -32,13 +34,12 @@ Three evaluation modes share that machinery:
   :class:`~repro.core.runtime.TransformationResult` with the annotated tree;
 * :meth:`PublishingPlan.publish_events` -- a lazy SAX-style event stream with
   virtual-tag elimination done on the fly, so Proposition 1 blow-ups can be
-  serialised without ever materialising the tree.
+  serialised without ever materialising the tree;
+* :meth:`PublishingPlan.publish_bytes` -- the serialised document, rendered
+  straight from the expansions without building a tree.
 
 These (plus :meth:`~PublishingPlan.republish` below) are the core drivers
-the serving layer (:class:`repro.serve.ViewServer`) routes onto; the batch
-and serialisation conveniences (:meth:`~PublishingPlan.publish_many`,
-:meth:`~PublishingPlan.publish_iter`, :meth:`~PublishingPlan.publish_xml`)
-are deprecated shims delegating to :mod:`repro.serve.oneshot`.
+the serving layer (:class:`repro.serve.ViewServer`) routes onto.
 
 On instances carrying a dictionary encoding
 (:func:`repro.relational.columnar.ensure_encoded`) the whole pipeline runs
@@ -57,9 +58,9 @@ invalidated *per rule*: only ``(state, tag, register)`` entries whose rule
 queries read a changed relation are re-checked (``cache_stats`` counts them
 as ``invalidated`` vs ``retained``), each once, at migration time; the ones
 whose expansion really differs form the step's ``changed`` set.  Confluence
-makes a cached subtree a function of its configurations' expansions, so
-whole previously-built subtrees and rendered spans carry over -- reused by
-object identity -- exactly when they contain no changed configuration,
+makes a clean subtree a function of its configurations' expansions, so
+its cached products -- built subtrees and rendered spans, reused by object
+identity -- carry over exactly when it contains no changed configuration,
 which also makes the :func:`~repro.xmltree.diff.diff_trees` edit script
 between the old and new documents cheap to compute.  Incremental output is
 always equal -- tree- and byte-wise -- to a from-scratch publish; the full
@@ -69,37 +70,33 @@ republish stays as the executable specification and differential oracle.
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.core.rules import GENERIC_REGISTER_NAME, RuleQuery, register_relation_name
-from repro.core.runtime import (
-    DEFAULT_MAX_NODES,
-    AnnotatedNode,
-    RegisterContent,
-    TransformationLimitError,
-    TransformationResult,
-)
+from repro.core.runtime import DEFAULT_MAX_NODES, RegisterContent, TransformationResult
 from repro.core.transducer import PublishingTransducer
 from repro.core.virtual import eliminate_virtual_nodes, strip_annotations
+from repro.engine.walk import (
+    AnnotatedSink,
+    CleanSubtree,
+    EventSink,
+    TreeSink,
+    render_document,
+    run,
+    walk,
+)
 from repro.query.planner import plan_query
 from repro.relational.delta import Delta
-from repro.relational.domain import DataValue, relation_to_text, tuple_order_key
+from repro.relational.domain import DataValue, tuple_order_key
 from repro.relational.instance import Instance, Relation
 from repro.relational.schema import RelationSchema, RelationalSchema
 from repro.xmltree.diff import EditScript, diff_trees
-from repro.xmltree.events import CloseEvent, OpenEvent, TextEvent, XmlEvent
+from repro.xmltree.events import XmlEvent
 from repro.xmltree.tree import TEXT_TAG, TreeNode
 
 #: A node configuration: the triple the transformation is confluent over.
 Triple = tuple[str, str, RegisterContent]
-
-#: Largest configuration-set size a cached subtree may carry.  Bigger
-#: subtrees are rebuilt from the (still memoised) expansions instead, which
-#: bounds the bookkeeping cost of structural sharing on blow-up outputs.
-_SUBTREE_TRIPLE_LIMIT = 4096
 
 #: A migration sweeps configurations unreachable from the root out of the
 #: caches once the memo has grown by this factor since the previous sweep,
@@ -108,26 +105,20 @@ _SUBTREE_TRIPLE_LIMIT = 4096
 _SWEEP_GROWTH = 2
 
 
-def _warn_deprecated(method: str, replacement: str) -> None:
-    """One :class:`DeprecationWarning` per callsite (the ``default`` filter
-    keys on the caller's file and line) pointing at the serving layer."""
-    warnings.warn(
-        f"PublishingPlan.{method}() is deprecated; use {replacement}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _carried(entries: dict, changed: set, live: set | None, triple_of) -> dict:
-    """The cache entries a migration carries over: those naming no
+def _carried(clean: dict, changed: set, live: set | None) -> dict:
+    """The clean-subtree entries a migration carries over: those naming no
     configuration in ``changed`` -- ``isdisjoint`` walks the smaller set,
     so each costs O(|changed|) -- and, after a sweep, keyed by a ``live``
-    configuration (``triple_of`` maps a key to it)."""
+    configuration."""
     if live is not None:
-        entries = {key: entry for key, entry in entries.items() if triple_of(key) in live}
+        clean = {triple: entry for triple, entry in clean.items() if triple in live}
     if not changed:
-        return dict(entries)
-    return {key: entry for key, entry in entries.items() if entry.triples.isdisjoint(changed)}
+        return dict(clean)
+    return {
+        triple: entry
+        for triple, entry in clean.items()
+        if entry.triples.isdisjoint(changed)
+    }
 
 
 def _shadowed_names(tag: str) -> frozenset[str]:
@@ -170,7 +161,8 @@ class CacheStats:
     ----------
     hits:
         Expansions answered from the memo (including every expansion inside
-        a structurally reused subtree).
+        a reused clean subtree, in any output form).  Text leaves render
+        from their register without touching the memo and are not counted.
     misses:
         Expansions that had to evaluate their rule queries.
     evictions:
@@ -271,43 +263,16 @@ class _CompiledItem:
         self.relations = frozenset(rule_query.query.relation_names())
 
 
-class _SubtreeEntry:
-    """A cached, context-free contribution of one configuration's subtree.
-
-    ``nodes`` is what the subtree adds to its parent's child list (one
-    element node, or the spliced children for a virtual tag); ``triples`` is
-    every configuration occurring in the subtree, used both for
-    stop-condition safety (the subtree may only be reused on a path disjoint
-    from it) and for invalidation after a source delta; ``weight`` is the
-    node-budget cost the subtree's traversal would have charged; ``saved``
-    is the number of expansions a reuse answers at once.
-    """
-
-    __slots__ = ("nodes", "triples", "weight", "saved")
-
-    def __init__(
-        self,
-        nodes: tuple[TreeNode, ...],
-        triples: frozenset[Triple],
-        weight: int,
-        saved: int,
-    ) -> None:
-        self.nodes = nodes
-        self.triples = triples
-        self.weight = weight
-        self.saved = saved
-
-
 class _InstanceState:
     """Everything the plan caches for one source instance.
 
-    ``subtrees`` holds :class:`_SubtreeEntry` values valid for this
-    instance, and ``renders`` is the bytes-path analogue (see
-    :mod:`repro.engine.emit`): pre-rendered byte spans keyed by ``(indent,
-    triple, level)``.  Every configuration an entry names is memoised in
-    ``expansions`` -- the invariant :meth:`PublishingPlan.republish` relies
-    on: a migration settles every memoised expansion on the new version, so
-    an entry none of whose configurations changed is still exact.
+    ``clean`` maps a configuration to the
+    :class:`~repro.engine.walk.CleanSubtree` of its subtree, valid for this
+    instance, with one product per output form.  Every configuration an
+    entry names is memoised in ``expansions`` -- the invariant
+    :meth:`PublishingPlan.republish` relies on: a migration settles every
+    memoised expansion on the new version, so an entry none of whose
+    configurations changed is still exact.
     ``volatile`` indexes the memoised configurations of every ``(state,
     tag)`` pair whose rule reads a source relation, so a migration finds
     the ones to settle without scanning the memo.  ``text_fragments``
@@ -326,8 +291,7 @@ class _InstanceState:
         "ext_schemas",
         "expansions",
         "volatile",
-        "subtrees",
-        "renders",
+        "clean",
         "text_fragments",
         "sweep_mark",
     )
@@ -346,104 +310,9 @@ class _InstanceState:
         self.ext_schemas: dict[tuple[str, int], RelationalSchema] = {}
         self.expansions: dict[Triple, tuple[Triple, ...]] = {}
         self.volatile: dict[tuple[str, str], set[Triple]] = {}
-        self.subtrees: dict[Triple, _SubtreeEntry] = {}
-        # Keyed (indent, triple, level) -> repro.engine.emit._RenderEntry.
-        self.renders: dict[tuple, object] = {}
+        self.clean: dict[Triple, CleanSubtree] = {}
         self.text_fragments: dict[RegisterContent, str] = {}
         self.sweep_mark = 0
-
-
-class _Frame:
-    """One node of the depth-first construction (tree and event modes).
-
-    ``triples`` accumulates the configurations of the subtree while it is
-    still shareable; it flips to ``None`` -- poisoning every ancestor -- when
-    a stop-condition hit makes the subtree path-dependent or the set
-    outgrows :data:`_SUBTREE_TRIPLE_LIMIT`.  ``weight`` and ``opened`` feed
-    the cached entry's budget charge and hit accounting.
-    """
-
-    __slots__ = (
-        "triple",
-        "expansion",
-        "index",
-        "built",
-        "text",
-        "stopped",
-        "triples",
-        "weight",
-        "opened",
-    )
-
-    def __init__(
-        self,
-        triple: Triple,
-        expansion: tuple[Triple, ...],
-        text: str | None,
-        stopped: bool,
-    ) -> None:
-        self.triple = triple
-        self.expansion = expansion
-        self.index = 0
-        self.built: list[TreeNode] = []
-        self.text = text
-        self.stopped = stopped
-        self.triples: set[Triple] | None = None if stopped else {triple}
-        self.weight = len(expansion)
-        self.opened = 1
-
-
-class _Cursor:
-    """The traversal invariant shared by all three evaluation modes.
-
-    One cursor per run owns the stop-condition path, the node-budget
-    accounting and the text extraction, so the tree, event and annotated
-    drivers cannot diverge on those semantics.
-    """
-
-    __slots__ = ("_plan", "_state", "_budget", "_path", "produced")
-
-    def __init__(self, plan: "PublishingPlan", state: "_InstanceState", budget: int) -> None:
-        self._plan = plan
-        self._state = state
-        self._budget = budget
-        self._path: set[Triple] = set()
-        self.produced = 1
-
-    def charge(self, count: int) -> None:
-        """Account for ``count`` produced nodes against the budget."""
-        self.produced += count
-        if self.produced > self._budget:
-            raise TransformationLimitError(
-                f"transformation exceeded the node budget of {self._budget} nodes; "
-                f"raise max_nodes if the blow-up is intended"
-            )
-
-    def path_disjoint(self, triples: frozenset[Triple]) -> bool:
-        """True when no configuration of ``triples`` lies on the current path."""
-        return self._path.isdisjoint(triples)
-
-    def open(self, triple: Triple) -> _Frame:
-        """Enter a node: stop condition, memoised expansion, budget, path push."""
-        if triple in self._path:
-            return _Frame(triple, (), None, stopped=True)
-        expansion = self._plan._expansion(self._state, triple)
-        self.charge(len(expansion))
-        if triple[1] == TEXT_TAG:
-            register = triple[2]
-            encoder = self._state.encoder
-            if encoder is not None:
-                register = encoder.decode_rows(register)
-            text = relation_to_text(register)
-        else:
-            text = None
-        self._path.add(triple)
-        return _Frame(triple, expansion, text, stopped=False)
-
-    def close(self, frame: _Frame) -> None:
-        """Leave a node: pop it from the stop-condition path."""
-        if not frame.stopped:
-            self._path.remove(frame.triple)
 
 
 class PublishingPlan:
@@ -503,9 +372,9 @@ class PublishingPlan:
         self._changed = 0
         self._render_hits = 0
         self._render_misses = 0
-        # Byte-template tables of the bytes-native publish path, one per
-        # indent mode (repro.engine.emit._Templates); tag sets are
-        # per-transducer, so per-plan caching is exactly right.
+        # Byte-template tables of the bytes sink, one per indent mode
+        # (repro.engine.walk.BytesSink); tag sets are per-transducer, so
+        # per-plan caching is exactly right.
         self._templates: dict[int | None, object] = {}
 
     # -- process-boundary support --------------------------------------------
@@ -595,44 +464,17 @@ class PublishingPlan:
     # -- the public evaluation surface --------------------------------------
 
     def publish(self, instance: Instance, max_nodes: int | None = None) -> TreeNode:
-        """Evaluate on ``instance`` and return the output Σ-tree ``tau(I)``."""
+        """Evaluate on ``instance`` and return the output Σ-tree ``tau(I)``.
+
+        Every clean subtree built is cached per configuration, so repeated
+        configurations -- within one document, across repeated publishes and
+        across :meth:`republish` versions -- reuse the previously built
+        :class:`TreeNode` objects; a reused subtree charges exactly the
+        nodes it would have produced.
+        """
         state = self._instance_state(instance)
         budget = self._max_nodes if max_nodes is None else max_nodes
-        return self._build_tree(state, budget)
-
-    def publish_many(
-        self, instances: Iterable[Instance], max_nodes: int | None = None
-    ) -> list[TreeNode]:
-        """Deprecated batch convenience; use the serving layer instead.
-
-        Delegates to :func:`repro.serve.publish_stream` (all instances of
-        the batch share this plan's LRU-bounded per-instance caches, as
-        before) and emits one :class:`DeprecationWarning` per callsite.  The
-        supported surface is :meth:`repro.serve.server.ViewServer.publish`
-        -- one call per source -- with :meth:`publish` remaining the core
-        single-instance driver.
-        """
-        from repro.serve.oneshot import publish_stream
-
-        _warn_deprecated(
-            "publish_many",
-            "ViewServer.publish (one call per source) or repro.serve.publish_stream",
-        )
-        return list(publish_stream(self, instances, max_nodes))
-
-    def publish_iter(
-        self, instances: Iterable[Instance], max_nodes: int | None = None
-    ) -> Iterator[TreeNode]:
-        """Deprecated lazy-batch convenience; use the serving layer instead.
-
-        Delegates to :func:`repro.serve.publish_stream` -- one tree yielded
-        per input instance, the input iterable advanced only on demand --
-        and emits one :class:`DeprecationWarning` per callsite.
-        """
-        from repro.serve.oneshot import publish_stream
-
-        _warn_deprecated("publish_iter", "repro.serve.publish_stream")
-        return publish_stream(self, instances, max_nodes)
+        return self._tree(state, budget)
 
     def publish_full(
         self, instance: Instance, max_nodes: int | None = None
@@ -640,7 +482,9 @@ class PublishingPlan:
         """Evaluate and return the interpreter-compatible full result object."""
         state = self._instance_state(instance)
         budget = self._max_nodes if max_nodes is None else max_nodes
-        root, steps = self._build_annotated(state, budget)
+        sink = AnnotatedSink(self, state)
+        steps = run(self, state, budget, sink)
+        root = sink.out[0]
         tree = eliminate_virtual_nodes(strip_annotations(root), self._virtual)
         return TransformationResult(self._transducer, instance, root, tree, steps)
 
@@ -658,7 +502,7 @@ class PublishingPlan:
         """
         state = self._instance_state(instance)
         budget = self._max_nodes if max_nodes is None else max_nodes
-        return self._stream_events(state, budget)
+        return walk(self, state, budget, EventSink(self, state))
 
     def publish_bytes(
         self,
@@ -669,24 +513,22 @@ class PublishingPlan:
     ) -> str:
         """Serialise the output document without materialising the tree.
 
-        The bytes-native driver (:mod:`repro.engine.emit`): constant byte
-        skeletons (`<tag>`, indentation, closers) are preassembled per tag
-        and level, character data is answered from interned escaped
-        fragments (per register, on the shared dictionary encoder when the
-        instance is encoded), and the rendered span of every clean subtree
-        is cached per ``(state, tag, register)`` configuration -- migrated
-        across :meth:`republish` exactly like the structural subtree cache,
-        so an incremental publish re-renders only invalidated spans and a
+        The bytes sink of :mod:`repro.engine.walk`: constant byte skeletons
+        (`<tag>`, indentation, closers) are preassembled per tag and level,
+        character data is answered from interned escaped fragments (per
+        register, on the shared dictionary encoder when the instance is
+        encoded), and the rendered span of every clean subtree is cached
+        per ``(state, tag, register)`` configuration next to its built
+        subtree -- migrated across :meth:`republish` with it, so an
+        incremental publish re-renders only invalidated spans and a
         cache-hot publish is a buffer handoff.  Output is byte-identical to
         serialising :meth:`publish` / :meth:`publish_events` with the
         matching ``indent`` (``indent=None`` matches the compact
         serialiser); stop-condition and node-budget semantics are those of
-        tree mode.  As with the streaming serialisers, a supplied ``write``
-        receives the document (one chunk here) and the return value is
-        ``""``.
+        every other form.  As with the streaming serialisers, a supplied
+        ``write`` receives the document (one chunk here) and the return
+        value is ``""``.
         """
-        from repro.engine.emit import render_document
-
         state = self._instance_state(instance)
         budget = self._max_nodes if max_nodes is None else max_nodes
         document = render_document(self, state, budget, indent)
@@ -694,29 +536,6 @@ class PublishingPlan:
             write(document)
             return ""
         return document
-
-    def publish_xml(
-        self,
-        instance: Instance,
-        indent: int | None = 2,
-        write=None,
-        max_nodes: int | None = None,
-    ) -> str:
-        """Deprecated serialisation convenience; use the serving layer instead.
-
-        Delegates to :func:`repro.serve.publish_document` (streaming into an
-        :class:`~repro.xmltree.serialize.IncrementalXmlSerializer`, with
-        ``write`` receiving chunks incrementally when given) and emits one
-        :class:`DeprecationWarning` per callsite.  The supported surface is
-        ``ViewServer.publish(view, output="bytes")``, which produces
-        byte-identical documents.
-        """
-        from repro.serve.oneshot import publish_document
-
-        _warn_deprecated("publish_xml", 'ViewServer.publish(view, output="bytes")')
-        return publish_document(
-            self, instance, indent=indent, write=write, max_nodes=max_nodes
-        )
 
     # -- incremental maintenance ----------------------------------------------
 
@@ -754,7 +573,7 @@ class PublishingPlan:
         delta = delta.normalized(prev_instance)
         if not delta.touched_relations():
             if prev_tree is None:
-                prev_tree = self._build_tree(self._instance_state(prev_instance), budget)
+                prev_tree = self._tree(self._instance_state(prev_instance), budget)
             return RepublishResult(prev_instance, prev_tree, EditScript(), delta)
         if prev_tree is None:
             prev_tree = self.publish(prev_instance, max_nodes)
@@ -780,7 +599,7 @@ class PublishingPlan:
         else:
             # The previous version's cache was evicted: cold start.
             state = self._instance_state(new_instance)
-        new_tree = self._build_tree(state, budget)
+        new_tree = self._tree(state, budget)
         return RepublishResult(
             new_instance,
             new_tree,
@@ -836,7 +655,7 @@ class PublishingPlan:
             }
             state.sweep_mark = len(expansions)
         else:
-            # The memo is copied before its index (see _expansion).
+            # The memo is copied before its index (see _memoised).
             expansions = dict(memo)
             volatile = {pair: set(keys) for pair, keys in prev_state.volatile.items()}
         state.expansions = expansions
@@ -860,8 +679,7 @@ class PublishingPlan:
                     expansions[triple] = fresh
         with self._lock:
             self._misses += recomputed
-        state.subtrees = _carried(prev_state.subtrees, changed, live, lambda key: key)
-        state.renders = _carried(prev_state.renders, changed, live, itemgetter(1))
+        state.clean = _carried(prev_state.clean, changed, live)
         return state, invalidated, len(expansions) - invalidated, len(changed)
 
     def _reachable(self, expansions: dict[Triple, tuple[Triple, ...]]) -> set[Triple]:
@@ -875,19 +693,6 @@ class PublishingPlan:
                     live.add(child)
                     stack.append(child)
         return live
-
-    def _subtree_entry(
-        self, state: _InstanceState, cursor: _Cursor, triple: Triple
-    ) -> _SubtreeEntry | None:
-        """A reusable cached subtree for ``triple``, or ``None``.
-
-        Reuse requires the current root-to-node path to be disjoint from the
-        subtree's configurations, which keeps the stop condition exact.
-        """
-        entry = state.subtrees.get(triple)
-        if entry is None or not cursor.path_disjoint(entry.triples):
-            return None
-        return entry
 
     def _unproven(
         self,
@@ -1144,20 +949,14 @@ class PublishingPlan:
             self._dispatch_table[key] = found
         return found
 
-    def _expansion(self, state: _InstanceState, triple: Triple) -> tuple[Triple, ...]:
-        """The memoised one-step expansion of a configuration.
+    def _memoised(self, state: _InstanceState, triple: Triple) -> tuple[Triple, ...]:
+        """Expand a configuration the memo lacks, and memoise it.
 
         Confluence (each node's children depend only on its own state, tag
-        and register) makes this a pure function of ``(triple, instance)``;
-        the stop condition is applied by the callers per root-to-node path.
+        and register) makes the expansion a pure function of ``(triple,
+        instance)``; the walker applies the stop condition per root-to-node
+        path and counts the memo's hits and misses.
         """
-        found = state.expansions.get(triple)
-        if found is not None:
-            with self._lock:
-                self._hits += 1
-            return found
-        with self._lock:
-            self._misses += 1
         result = self._expand(state, triple)
         pair = (triple[0], triple[1])
         if pair in self._volatile_pairs:
@@ -1303,176 +1102,10 @@ class PublishingPlan:
     def _root_triple(self) -> Triple:
         return (self._start_state, self._root_tag, frozenset())
 
-    def _cursor(self, state: _InstanceState, budget: int) -> "_Cursor":
-        return _Cursor(self, state, budget)
-
-    def _build_tree(self, state: _InstanceState, budget: int) -> TreeNode:
-        """Materialise the output Σ-tree (iterative, virtual splicing inline).
-
-        Structural sharing: the contribution of every "clean" subtree (no
-        stop-condition interference, configuration set within bounds) is
-        cached per configuration in the instance state, so repeated
-        configurations -- within one document, across repeated publishes and
-        across :meth:`republish` versions -- reuse the previously built
-        :class:`TreeNode` objects instead of re-walking the subtree.  Budget
-        accounting and stop-condition semantics are unchanged: a reused
-        subtree charges exactly the nodes it would have produced.
-        """
-        virtual = self._virtual
-        cursor = self._cursor(state, budget)
-        limit = _SUBTREE_TRIPLE_LIMIT
-        root_triple = self._root_triple()
-        if self._root_tag not in virtual:
-            entry = self._subtree_entry(state, cursor, root_triple)
-            if entry is not None:
-                cursor.charge(entry.weight)
-                with self._lock:
-                    self._hits += entry.saved
-                return entry.nodes[0]
-        result: TreeNode | None = None
-        frames = [cursor.open(root_triple)]
-        while frames:
-            frame = frames[-1]
-            if frame.index < len(frame.expansion):
-                child = frame.expansion[frame.index]
-                frame.index += 1
-                entry = self._subtree_entry(state, cursor, child)
-                if entry is not None:
-                    cursor.charge(entry.weight)
-                    with self._lock:
-                        self._hits += entry.saved
-                    frame.built.extend(entry.nodes)
-                    frame.weight += entry.weight
-                    frame.opened += entry.saved
-                    if frame.triples is not None:
-                        frame.triples |= entry.triples
-                        if len(frame.triples) > limit:
-                            frame.triples = None
-                    continue
-                frames.append(cursor.open(child))
-                continue
-            frames.pop()
-            cursor.close(frame)
-            tag = frame.triple[1]
-            if tag in virtual:
-                nodes: tuple[TreeNode, ...] = tuple(frame.built)
-            else:
-                nodes = (TreeNode(tag, tuple(frame.built), frame.text),)
-            if frame.triples is not None and not frame.stopped:
-                state.subtrees[frame.triple] = _SubtreeEntry(
-                    nodes, frozenset(frame.triples), frame.weight, frame.opened
-                )
-            if frames:
-                parent = frames[-1]
-                if tag in virtual:
-                    parent.built.extend(nodes)
-                else:
-                    parent.built.append(nodes[0])
-                parent.weight += frame.weight
-                parent.opened += frame.opened
-                if frame.triples is None:
-                    parent.triples = None
-                elif parent.triples is not None:
-                    # Small-to-large: donate the bigger set upward, so deep
-                    # spines cost O(n log n) bookkeeping, not O(n * depth).
-                    if len(parent.triples) < len(frame.triples):
-                        frame.triples |= parent.triples
-                        parent.triples = frame.triples
-                    else:
-                        parent.triples |= frame.triples
-                    if len(parent.triples) > limit:
-                        parent.triples = None
-            elif tag in virtual:
-                # A virtual root still renders as an element in tree mode;
-                # its cached entry keeps the child-contribution semantics.
-                result = TreeNode(tag, tuple(frame.built), frame.text)
-            else:
-                result = nodes[0]
-        assert result is not None
-        return result
-
-    def _stream_events(self, state: _InstanceState, budget: int) -> Iterator[XmlEvent]:
-        """The lazy event stream behind :meth:`publish_events`."""
-        virtual = self._virtual
-        cursor = self._cursor(state, budget)
-        frames: list[_Frame] = []
-
-        def push(triple: Triple) -> Iterator[XmlEvent]:
-            frame = cursor.open(triple)
-            tag = frame.triple[1]
-            if tag == TEXT_TAG:
-                cursor.close(frame)
-                if tag not in virtual:
-                    yield TextEvent(frame.text)
-                return
-            frames.append(frame)
-            if tag not in virtual:
-                yield OpenEvent(tag)
-
-        yield from push(self._root_triple())
-        while frames:
-            frame = frames[-1]
-            if frame.index < len(frame.expansion):
-                child = frame.expansion[frame.index]
-                frame.index += 1
-                yield from push(child)
-                continue
-            frames.pop()
-            cursor.close(frame)
-            tag = frame.triple[1]
-            if tag not in virtual:
-                yield CloseEvent(tag)
-
-    def _build_annotated(
-        self, state: _InstanceState, budget: int
-    ) -> tuple[AnnotatedNode, int]:
-        """The extended tree in ``Tree_{Q x Sigma}`` (interpreter-compatible)."""
-        cursor = self._cursor(state, budget)
-        encoder = state.encoder
-        steps = 0
-        root = AnnotatedNode(
-            state=self._start_state, tag=self._root_tag, register=frozenset()
-        )
-
-        def open_node(node: AnnotatedNode, triple: Triple) -> _Frame:
-            nonlocal steps
-            steps += 1
-            node.finalized = True
-            frame = cursor.open(triple)
-            if frame.stopped:
-                node.stopped_by_condition = True
-            elif node.tag == TEXT_TAG:
-                node.text = frame.text
-            return frame
-
-        # Each stack entry: (annotated node, its traversal frame).  In
-        # encoded mode the traversal runs on encoded triples while the
-        # interpreter-compatible annotated nodes carry decoded registers.
-        stack: list[tuple[AnnotatedNode, _Frame]] = [
-            (root, open_node(root, self._root_triple()))
-        ]
-        while stack:
-            node, frame = stack[-1]
-            if frame.index < len(frame.expansion):
-                child_triple = frame.expansion[frame.index]
-                child_state, child_tag, child_register = child_triple
-                frame.index += 1
-                child = AnnotatedNode(
-                    state=child_state,
-                    tag=child_tag,
-                    register=(
-                        child_register
-                        if encoder is None
-                        else encoder.decode_rows(child_register)
-                    ),
-                    parent=node,
-                )
-                node.children.append(child)
-                stack.append((child, open_node(child, child_triple)))
-                continue
-            stack.pop()
-            cursor.close(frame)
-        return root, steps
+    def _tree(self, state: _InstanceState, budget: int) -> TreeNode:
+        sink = TreeSink(self, state)
+        run(self, state, budget, sink)
+        return sink.out[0]
 
 
 class Engine:

@@ -10,7 +10,8 @@ One :class:`QueryPlan` API serves every consumer of relational queries:
 * the semi-naive Datalog evaluator (:mod:`repro.datalog.evaluation`) feeds
   per-round deltas into plans through the ``overrides`` channel;
 * the static analyses reuse plans when re-evaluating rule queries in loops;
-* incremental view maintenance (:mod:`repro.incremental`) turns instance
+* incremental view maintenance
+  (:meth:`~repro.engine.plan.PublishingPlan.republish`) turns instance
   deltas into exact answer changes via :meth:`QueryPlan.execute_delta`
   (:mod:`repro.query.delta`).
 

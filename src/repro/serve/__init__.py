@@ -23,10 +23,10 @@ and exposes exactly three verbs:
     >>> handle = server.attach(instance)                        # doctest: +SKIP
     >>> xml = server.publish("hierarchy", output="bytes")       # doctest: +SKIP
 
-The legacy entry points (``publish_many`` / ``publish_iter`` /
-``publish_xml`` on :class:`~repro.engine.plan.PublishingPlan`, and
-:class:`~repro.incremental.IncrementalPublisher`) delegate here and are kept
-as deprecated shims.
+For callers holding a compiled plan rather than a server,
+:func:`~repro.serve.oneshot.publish_stream` publishes a stream of instances
+and :func:`~repro.serve.oneshot.publish_document` streams one publish into
+XML text.
 """
 
 from repro.serve.oneshot import (

@@ -1,12 +1,11 @@
-"""One-shot publishing helpers shared by the server and the legacy shims.
+"""One-shot publishing helpers for callers holding a compiled plan.
 
-These free functions are the single implementation behind both
-:meth:`repro.serve.server.ViewServer.publish` output modes and the deprecated
-convenience variants on :class:`~repro.engine.plan.PublishingPlan`
-(``publish_many`` / ``publish_iter`` / ``publish_xml``), so the streaming and
-serialisation semantics cannot drift between the old and the new surface.
-They build only on the engine's core drivers (``publish`` /
-``publish_events``), never on the deprecated variants.
+:func:`publish_stream` publishes a stream of instances over one
+:class:`~repro.engine.plan.PublishingPlan`, :func:`publish_document` streams
+one publish straight into XML text, and the ``serialize_*`` /
+:func:`compact_tree` helpers render event streams and materialised trees
+byte-identically to :meth:`repro.serve.server.ViewServer.publish`.  They
+build only on the engine's core drivers (``publish`` / ``publish_events``).
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ def publish_stream(
     """Lazily publish a stream of instances over one compiled plan.
 
     One tree per input instance, in order, built only when the consumer asks
-    for it; all instances share the plan's per-instance caches (the
-    shared-cache semantics previously documented on ``publish_many``).
+    for it; all instances share the plan's LRU-bounded per-instance caches.
     """
     for instance in instances:
         yield plan.publish(instance, max_nodes)
@@ -39,7 +37,7 @@ def publish_document(
     write=None,
     max_nodes: int | None = None,
 ) -> str:
-    """Stream a publish directly into XML text (the legacy ``publish_xml``).
+    """Stream a publish directly into XML text.
 
     With ``write`` (a callable receiving string chunks) the document is
     pushed incrementally and an empty string is returned; without it the

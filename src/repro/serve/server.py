@@ -35,9 +35,9 @@ streams, not a one-shot function call):
   parameters substituted as query constants, which the shared planner pushes
   into its indexed scans (prepared-statement style).
 
-Every output mode is byte-identical to the legacy paths: ``output="bytes"``
-matches ``publish_xml``, ``output="tree"`` matches ``publish``, maintained
-trees always equal a from-scratch publish of the same version.
+Every output mode is byte-identical across routes: ``output="bytes"``
+matches serialising ``publish``, ``output="tree"`` matches ``publish``,
+maintained trees always equal a from-scratch publish of the same version.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from repro.relational.delta import Delta
 from repro.relational.domain import DataValue
 from repro.relational.instance import Instance
 from repro.relational.schema import RelationalSchema
-from repro.serve.oneshot import compact_tree, serialize_tree
 from repro.xmltree.diff import EditScript, diff_trees
 from repro.xmltree.events import tree_to_events
 from repro.xmltree.tree import TreeNode
@@ -1203,7 +1202,7 @@ class ViewServer:
         or ``None`` when exactly one source is attached.  ``output`` selects
         the result form: the materialised Σ-tree (``"tree"``), a lazy
         SAX-style event stream (``"events"``), the serialised document
-        (``"bytes"``, byte-identical to the legacy ``publish_xml``; honours
+        (``"bytes"``, byte-identical to serialising the tree; honours
         ``indent`` / ``write``) or the single-line form (``"compact"``).
         ``backend`` pins execution to the row or columnar kernel (``"auto"``
         follows the source's encoding).  ``maintenance`` chooses between a
@@ -1289,7 +1288,7 @@ class ViewServer:
             # Serialised forms of a maintained chain render through the
             # bytes-native driver rather than re-walking the maintained
             # tree: the republishes that advanced the chain carried the
-            # rendered-span cache over, so only spans around changed
+            # clean-subtree cache over, so only spans around changed
             # configurations re-render and an unchanged document is a
             # buffer handoff.  The instance is
             # the chain's own snapshot object (``_instance_for`` is cached
@@ -1304,7 +1303,7 @@ class ViewServer:
             # the engine; memoised under the version's snapshot instance.
             instance = handle._instance_for(snapshot, backend)
             guard._ensure_validated_tree(plan, tree, instance, budget)
-        return self._render_tree(tree, output, indent, write)
+        return self._render_tree(tree, output)
 
     @property
     def pool(self):
@@ -1681,17 +1680,12 @@ class ViewServer:
             )
         return plan.publish_bytes(instance, indent=None, max_nodes=max_nodes)
 
-    def _render_tree(
-        self, tree: TreeNode, output: str, indent: int | None, write
-    ):
-        """Render an (incrementally) maintained tree in the requested form."""
+    def _render_tree(self, tree: TreeNode, output: str):
+        """An (incrementally) maintained tree as a tree or event stream
+        (serialised outputs render through :meth:`_render_full`)."""
         if output == "tree":
             return tree
-        if output == "events":
-            return tree_to_events(tree)
-        if output in ("bytes", "xml"):
-            return serialize_tree(tree, indent=indent, write=write)
-        return compact_tree(tree)
+        return tree_to_events(tree)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -24,7 +24,6 @@ from repro.datalog import (
 )
 from repro.datalog.program import DatalogProgram, DatalogRule
 from repro.engine.plan import compile_plan
-from repro.incremental import IncrementalPublisher
 from repro.logic.cq import (
     ConjunctiveQuery,
     RelationAtom,
@@ -45,6 +44,7 @@ from repro.relational import (
     ensure_encoded,
 )
 from repro.relational.schema import RelationalSchema
+from repro.serve import ViewServer, publish_document, serialize_tree
 from repro.workloads.blowup import (
     binary_counter_instance,
     binary_counter_transducer,
@@ -391,7 +391,9 @@ class TestPublishByteIdentity:
             encoded = encoded_twin(instance)
             plain_plan = compile_plan(tau)
             encoded_plan = compile_plan(tau)
-            assert plain_plan.publish_xml(instance) == encoded_plan.publish_xml(encoded)
+            assert publish_document(plain_plan, instance) == publish_document(
+                encoded_plan, encoded
+            )
             assert trees_equal(
                 plain_plan.publish(instance), encoded_plan.publish(encoded)
             )
@@ -417,7 +419,9 @@ class TestPublishByteIdentity:
             encoded = encoded_twin(instance)
             plain_plan = compile_plan(tau, max_nodes=max_nodes)
             encoded_plan = compile_plan(tau, max_nodes=max_nodes)
-            assert plain_plan.publish_xml(instance) == encoded_plan.publish_xml(encoded)
+            assert publish_document(plain_plan, instance) == publish_document(
+                encoded_plan, encoded
+            )
 
     def test_encoded_workload_constructors(self):
         assert encoding_of(generate_registrar_instance(10, seed=1, encoded=True))
@@ -489,15 +493,18 @@ class TestRepublishEncoded:
         with pytest.raises(ValueError):
             ensure_encoded(instance, DictionaryEncoder())
 
-    def test_incremental_publisher_encoded_flag(self):
-        instance = example_registrar_instance()
-        publisher = IncrementalPublisher(
-            tau1_prerequisite_hierarchy(), instance, encoded=True
-        )
-        assert encoding_of(publisher.instance) is not None
-        publisher.insert("prereq", ("cs450", "cs340"))
-        publisher.delete("prereq", ("cs240", "cs101"))
-        publisher.verify()
+    def test_subscription_on_encoded_source(self):
+        tau = tau1_prerequisite_hierarchy()
+        server = ViewServer()
+        server.register_view("view", tau)
+        handle = server.attach(example_registrar_instance(), encoded=True)
+        subscription = server.subscribe("view", handle)
+        assert encoding_of(subscription.instance) is not None
+        handle.commit(Delta.insert("prereq", ("cs450", "cs340")))
+        handle.commit(Delta.delete("prereq", ("cs240", "cs101")))
+        oracle = compile_plan(tau).publish(subscription.instance)
+        assert trees_equal(oracle, subscription.tree)
+        assert serialize_tree(oracle) == serialize_tree(subscription.tree)
 
 
 class TestIndexHygiene:

@@ -26,6 +26,7 @@ from repro.logic.cq import ConjunctiveQuery, RelationAtom, equality
 from repro.logic.terms import Constant, Variable
 from repro.relational.instance import Instance
 from repro.relational.schema import RelationalSchema
+from repro.serve import publish_document, publish_stream
 from repro.workloads.blowup import (
     binary_counter_instance,
     binary_counter_transducer,
@@ -197,8 +198,8 @@ class TestPlanMatchesInterpreter:
     def test_streamed_serialisation_is_byte_identical(self, name, tau, instance):
         plan = compile_plan(tau, max_nodes=10**6)
         materialised = plan.publish(instance)
-        assert plan.publish_xml(instance) == to_xml(materialised)
-        assert plan.publish_xml(instance, indent=None) == to_compact_xml(materialised)
+        assert publish_document(plan, instance) == to_xml(materialised)
+        assert publish_document(plan, instance, indent=None) == to_compact_xml(materialised)
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +208,10 @@ class TestPlanMatchesInterpreter:
 
 
 class TestBatchAndCache:
-    def test_publish_many_matches_individual_publishes(self, tau1):
+    def test_publish_stream_matches_individual_publishes(self, tau1):
         instances = [generate_registrar_instance(15, seed=s) for s in range(5)]
         plan = Engine().compile(tau1, REGISTRAR_SCHEMA)
-        batched = plan.publish_many(instances)
+        batched = list(publish_stream(plan, instances))
         assert batched == [publish(tau1, instance) for instance in instances]
 
     def test_repeated_instances_hit_the_cross_run_cache(self, tau1, registrar_instance):
@@ -346,5 +347,5 @@ class TestDeepTrees:
         full = plan.publish_full(instance)
         assert full.extended_root.depth() == depth + 2
         assert full.extended_root.size() == depth + 2
-        compact = plan.publish_xml(instance, indent=None)
+        compact = publish_document(plan, instance, indent=None)
         assert compact.count("<a>") == depth  # innermost renders as <a/>

@@ -16,6 +16,7 @@ from repro.logic.cq import ConjunctiveQuery, RelationAtom, equality
 from repro.logic.terms import Constant, Variable
 from repro.relational.instance import Instance
 from repro.relational.schema import RelationalSchema
+from repro.serve import publish_document
 from repro.xmltree.events import (
     CloseEvent,
     OpenEvent,
@@ -60,8 +61,8 @@ def _assert_stream_matches_materialised(tau, instance=INSTANCE):
     materialised = plan.publish(instance)
     assert materialised == reference
     assert events_to_tree(plan.publish_events(instance)) == reference
-    assert plan.publish_xml(instance) == to_xml(reference)
-    assert plan.publish_xml(instance, indent=None) == to_compact_xml(reference)
+    assert publish_document(plan, instance) == to_xml(reference)
+    assert publish_document(plan, instance, indent=None) == to_compact_xml(reference)
     return materialised
 
 

@@ -14,7 +14,6 @@ import random
 import pytest
 
 from repro.engine import RepublishResult, compile_plan
-from repro.incremental import Delta, EditScript, IncrementalPublisher, diff_trees
 from repro.logic.cq import (
     ConjunctiveQuery,
     RelationAtom,
@@ -24,6 +23,7 @@ from repro.logic.cq import (
 from repro.logic.fo import And, Eq, Exists, FormulaQuery, Not, Rel
 from repro.logic.terms import Constant, Variable
 from repro.query import plan_query
+from repro.relational.delta import Delta
 from repro.relational.errors import ArityError, UnknownRelationError
 from repro.relational.instance import Instance
 from repro.workloads.blowup import (
@@ -37,7 +37,15 @@ from repro.workloads.registrar import (
     tau2_prerequisite_closure,
     tau3_courses_without_db_prereq,
 )
-from repro.xmltree.diff import DeleteSubtree, InsertSubtree, ReplaceSubtree
+from repro.serve import ViewServer, publish_document, publish_stream, serialize_tree
+from repro.xmltree.diff import (
+    DeleteSubtree,
+    EditScript,
+    InsertSubtree,
+    ReplaceSubtree,
+    diff_trees,
+    trees_equal,
+)
 from repro.xmltree.serialize import to_xml
 from repro.xmltree.tree import text_node, tree
 
@@ -408,7 +416,7 @@ def _assert_matches_oracle(tau, result: RepublishResult, prev_tree) -> None:
     oracle_plan = compile_plan(tau, max_nodes=10**6)
     oracle_tree = oracle_plan.publish(result.instance)
     assert result.tree == oracle_tree
-    assert to_xml(result.tree) == oracle_plan.publish_xml(result.instance)
+    assert to_xml(result.tree) == publish_document(oracle_plan, result.instance)
     assert result.edits.apply(prev_tree) == result.tree
 
 
@@ -581,37 +589,53 @@ class TestRepublish:
 
 
 # ---------------------------------------------------------------------------
-# The IncrementalPublisher facade.
+# A subscribed view maintained along a commit stream.
 # ---------------------------------------------------------------------------
 
 
-class TestIncrementalPublisher:
+def _subscribed(view, instance, encoded=False):
+    server = ViewServer()
+    server.register_view("view", view)
+    handle = server.attach(instance, encoded=encoded)
+    return server, handle, server.subscribe("view", handle)
+
+
+def _assert_matches_fresh_plan(tau, subscription) -> None:
+    """The maintained view equals a cold plan's publish of its version,
+    tree- and byte-wise."""
+    oracle = compile_plan(tau).publish(subscription.instance)
+    assert trees_equal(oracle, subscription.tree)
+    assert serialize_tree(oracle) == serialize_tree(subscription.tree)
+
+
+class TestSubscribedView:
     def test_stream_of_updates_with_verification(self, tau1):
-        publisher = IncrementalPublisher(tau1, example_registrar_instance())
-        publisher.insert("course", ("cs500", "Compilers", "CS"))
-        publisher.insert("prereq", ("cs500", "cs340"), ("cs500", "cs450"))
-        step = publisher.delete("prereq", ("cs240", "cs101"))
-        assert step.instance is publisher.instance
-        assert publisher.updates == 3
-        publisher.verify()
-        assert publisher.xml() == to_xml(publisher.tree)
-        assert publisher.xml(indent=None).startswith("<db>")
+        server, handle, subscription = _subscribed(tau1, example_registrar_instance())
+        handle.commit(Delta.insert("course", ("cs500", "Compilers", "CS")))
+        handle.commit(Delta.insert("prereq", ("cs500", "cs340"), ("cs500", "cs450")))
+        handle.commit(Delta.delete("prereq", ("cs240", "cs101")))
+        events = subscription.drain()
+        assert len(events) == 3
+        assert events[-1].result.instance is subscription.instance
+        _assert_matches_fresh_plan(tau1, subscription)
+        assert server.publish("view", output="bytes") == to_xml(subscription.tree)
+        assert server.publish("view", output="compact").startswith("<db>")
 
     def test_accepts_precompiled_plan(self, tau1, registrar_instance):
         plan = compile_plan(tau1)
-        publisher = IncrementalPublisher(plan, registrar_instance)
-        assert publisher.plan is plan
-        publisher.apply(Delta.delete("prereq", *registrar_instance["prereq"].tuples))
-        publisher.verify()
+        server, handle, subscription = _subscribed(plan, registrar_instance)
+        assert server.view("view").plan_for(None) is plan
+        handle.commit(Delta.delete("prereq", *registrar_instance["prereq"].tuples))
+        _assert_matches_fresh_plan(tau1, subscription)
 
 
 # ---------------------------------------------------------------------------
-# publish_many / publish_iter laziness.
+# publish_stream laziness.
 # ---------------------------------------------------------------------------
 
 
 class TestLazyBatches:
-    def test_publish_iter_pulls_instances_on_demand(self, tau1):
+    def test_publish_stream_pulls_instances_on_demand(self, tau1):
         pulled = []
 
         def instances():
@@ -620,14 +644,16 @@ class TestLazyBatches:
                 yield generate_registrar_instance(6, seed=seed)
 
         plan = compile_plan(tau1)
-        stream = plan.publish_iter(instances())
+        stream = publish_stream(plan, instances())
         assert pulled == []  # nothing consumed before iteration starts
         first = next(stream)
         assert pulled == [0] and first.label == "db"
         rest = list(stream)
         assert pulled == [0, 1, 2, 3] and len(rest) == 3
 
-    def test_publish_many_accepts_generators(self, tau1):
+    def test_publish_stream_accepts_generators(self, tau1):
         plan = compile_plan(tau1)
         instances = [generate_registrar_instance(6, seed=s) for s in range(3)]
-        assert plan.publish_many(iter(instances)) == plan.publish_many(instances)
+        assert list(publish_stream(plan, iter(instances))) == list(
+            publish_stream(plan, instances)
+        )

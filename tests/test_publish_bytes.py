@@ -1,6 +1,6 @@
-"""The bytes-native publish path (`repro.engine.emit`).
+"""The output forms of the one expansion walker (`repro.engine.walk`).
 
-The contract under test is the acceptance bar of the serialization PR:
+The bytes sink is the focus; the contract under test:
 
 * ``publish_bytes`` / ``publish(output="bytes"|"compact")`` is byte-identical
   to the established serialisers (``to_xml`` / ``to_compact_xml`` /
@@ -8,7 +8,11 @@ The contract under test is the acceptance bar of the serialization PR:
   combination, including escaping edge cases and republish chains;
 * the bytes path never constructs a ``TreeNode``;
 * rendered-span cache hits surface through ``stats()`` / ``explain()``;
-* the node budget charges exactly as tree mode (same minimal budget);
+* every form -- tree, bytes (pretty and compact), events, the annotated
+  ``publish_full`` and the reference interpreter -- finds the same minimal
+  node budget, and they agree on a text root;
+* ``publish_events`` stays lazy, raising a budget error only when the
+  stream reaches it;
 * the recursive serialisers are now iterative and survive
   Proposition-1-depth trees.
 """
@@ -19,7 +23,7 @@ import itertools
 
 import pytest
 
-from repro.core.runtime import TransformationLimitError
+from repro.core.runtime import TransducerRuntime, TransformationLimitError
 from repro.engine import compile_plan, transducer
 from repro.logic.cq import ConjunctiveQuery, RelationAtom
 from repro.logic.terms import Variable
@@ -40,6 +44,7 @@ from repro.workloads.registrar import (
     tau2_prerequisite_closure,
     tau3_courses_without_db_prereq,
 )
+from repro.xmltree.events import OpenEvent, events_to_tree
 from repro.xmltree.serialize import IncrementalXmlSerializer, to_compact_xml, to_xml
 from repro.xmltree.tree import TreeNode
 
@@ -308,14 +313,27 @@ class TestDeepTrees:
 
 
 # ---------------------------------------------------------------------------
-# Degenerate roots fall back to the event serialiser, errors included.
+# Degenerate roots: a text root renders through the event serialiser, errors
+# included; virtual roots cannot be defined.
 # ---------------------------------------------------------------------------
+
+
+def _text_root():
+    from repro.core.rules import TransductionRule
+    from repro.core.transducer import make_transducer
+    from repro.xmltree.tree import TEXT_TAG
+
+    tau = make_transducer(
+        [TransductionRule("q0", TEXT_TAG, ())], start_state="q0", root_tag=TEXT_TAG
+    )
+    schema = RelationalSchema.from_attributes({"P": ("v",)})
+    return tau, Instance(schema, {"P": [("p1",)]})
 
 
 class TestDegenerateRoots:
     def test_virtual_roots_are_rejected_at_definition(self):
-        # The fallback branch of the bytes driver also guards virtual roots,
-        # but the transducer layer already forbids them outright.
+        # The walker's sentinel frame opens the root like any node, which is
+        # only sound because the transducer layer forbids virtual roots.
         from repro.core.transducer import TransducerDefinitionError
 
         x = Variable("x")
@@ -330,17 +348,21 @@ class TestDegenerateRoots:
     def test_text_root_keeps_the_event_serializer_semantics(self):
         # A text root is constructible; the bytes path must surface the
         # event serialiser's document-rule error, message included.
-        from repro.core.rules import TransductionRule
-        from repro.core.transducer import make_transducer
-        from repro.xmltree.tree import TEXT_TAG
-
-        tau = make_transducer(
-            [TransductionRule("q0", TEXT_TAG, ())], start_state="q0", root_tag=TEXT_TAG
-        )
-        schema = RelationalSchema.from_attributes({"P": ("v",)})
-        instance = Instance(schema, {"P": [("p1",)]})
+        tau, instance = _text_root()
         with pytest.raises(ValueError, match="outside the document root"):
             compile_plan(tau).publish_bytes(instance)
+
+    def test_text_root_matches_the_interpreter(self):
+        tau, instance = _text_root()
+        reference = TransducerRuntime(tau).run(instance)
+        assert reference.tree == TreeNode("text", (), "")
+        assert reference.steps == 1
+        plan = compile_plan(tau)
+        assert plan.publish(instance) == reference.tree
+        assert events_to_tree(plan.publish_events(instance)) == reference.tree
+        full = plan.publish_full(instance)
+        assert full.tree == reference.tree
+        assert full.steps == reference.steps
 
 
 # ---------------------------------------------------------------------------
@@ -359,25 +381,59 @@ class TestContracts:
         assert "".join(chunks) == document
 
     def test_budget_parity_with_tree_mode(self):
-        instance = binary_counter_instance(2)
-
+        # Every output form charges the node budget alike, cold and with the
+        # clean-subtree cache warm (the diamonds reuse subtrees within one
+        # document; the counter's blow-up comes from stop-condition hits).
         def minimal_budget(publish) -> int:
             low, high = 1, 2000
             while low < high:
                 mid = (low + high) // 2
-                plan = compile_plan(binary_counter_transducer(), max_nodes=mid)
                 try:
-                    publish(plan)
+                    publish(mid)
                 except TransformationLimitError:
                     low = mid + 1
                 else:
                     high = mid
             return low
 
-        tree_minimum = minimal_budget(lambda plan: plan.publish(instance))
-        bytes_minimum = minimal_budget(lambda plan: plan.publish_bytes(instance))
-        assert bytes_minimum == tree_minimum
+        cases = (
+            (binary_counter_transducer(), binary_counter_instance(2)),
+            (chain_of_diamonds_transducer(), chain_of_diamonds_instance(4)),
+        )
+        for tau, instance in cases:
+
+            def plan(budget, tau=tau):
+                return compile_plan(tau, max_nodes=budget)
+
+            warm = compile_plan(tau, max_nodes=10**6)
+            warm.publish(instance)
+            warm.publish_bytes(instance)
+            forms = {
+                "tree": lambda budget: plan(budget).publish(instance),
+                "bytes": lambda budget: plan(budget).publish_bytes(instance, indent=2),
+                "compact": lambda budget: plan(budget).publish_bytes(instance, indent=None),
+                "events": lambda budget: list(plan(budget).publish_events(instance)),
+                "full": lambda budget: plan(budget).publish_full(instance),
+                "interpreter": lambda budget: TransducerRuntime(
+                    tau, max_nodes=budget
+                ).run(instance),
+                "warm tree": lambda budget: warm.publish(instance, max_nodes=budget),
+                "warm bytes": lambda budget: warm.publish_bytes(
+                    instance, max_nodes=budget
+                ),
+            }
+            minima = {name: minimal_budget(publish) for name, publish in forms.items()}
+            tree_minimum = minima["tree"]
+            assert minima == dict.fromkeys(forms, tree_minimum), tau.name
+            with pytest.raises(TransformationLimitError):
+                plan(tree_minimum - 1).publish_bytes(instance)
+
+    def test_publish_events_is_lazy(self):
+        plan = compile_plan(binary_counter_transducer(), max_nodes=50)
+        stream = plan.publish_events(binary_counter_instance(3))
+        assert next(stream) == OpenEvent("r")
+        produced = 1
         with pytest.raises(TransformationLimitError):
-            compile_plan(
-                binary_counter_transducer(), max_nodes=tree_minimum - 1
-            ).publish_bytes(instance)
+            for _ in stream:
+                produced += 1
+        assert produced == 62  # the events before the budget is exhausted

@@ -2,14 +2,14 @@
 
 The contract under test is the acceptance bar of the API redesign:
 
-* ``server.publish`` output is byte-identical to the legacy ``publish_xml``
-  path on tau1-tau3 and both blow-up workloads for every (backend,
+* ``server.publish`` output is byte-identical to a fresh plan's serialised
+  tree on tau1-tau3 and both blow-up workloads for every (backend,
   maintenance) combination, before and after commits;
 * snapshot isolation: a reader pinned to version ``N`` is unaffected by
   commit ``N + 1``;
 * subscription edit scripts replay to the full-publish oracle;
 * parameterized views bind exactly like manually-substituted constants;
-* the legacy entry points delegate and warn.
+* the engine's core drivers emit no deprecation warnings.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import pytest
 
 from repro.engine.builder import TransducerBuilder
 from repro.engine.plan import compile_plan
-from repro.incremental import IncrementalPublisher
 from repro.languages.common import element
 from repro.languages.forxml import ForXmlView
 from repro.languages.registry import compile_frontend, frontend_language
@@ -724,37 +723,11 @@ class TestObservability:
 
 
 # ---------------------------------------------------------------------------
-# The deprecated shims.
+# The core drivers stay warning-free.
 # ---------------------------------------------------------------------------
 
 
 class TestDeprecationShims:
-    def test_publish_xml_delegates_and_warns(self, tau1):
-        instance = example_registrar_instance()
-        plan = compile_plan(tau1)
-        with pytest.warns(DeprecationWarning, match="publish_xml"):
-            legacy = plan.publish_xml(instance)
-        server = ViewServer()
-        server.register_view("tau1", tau1)
-        assert server.publish("tau1", source=instance, output="bytes") == legacy
-
-    def test_publish_many_and_iter_delegate_and_warn(self, tau1):
-        plan = compile_plan(tau1)
-        instances = [example_registrar_instance()]
-        with pytest.warns(DeprecationWarning, match="publish_many"):
-            batch = plan.publish_many(instances)
-        with pytest.warns(DeprecationWarning, match="publish_iter"):
-            lazy = list(plan.publish_iter(instances))
-        assert batch == lazy == [plan.publish(instances[0])]
-
-    def test_incremental_publisher_warns_and_matches_server(self, tau1):
-        with pytest.warns(DeprecationWarning, match="IncrementalPublisher"):
-            publisher = IncrementalPublisher(tau1, example_registrar_instance())
-        step = publisher.insert("course", ("cs960", "Types", "CS"))
-        assert step.instance is publisher.instance
-        assert publisher.updates == 1
-        publisher.verify()
-
     def test_core_drivers_do_not_warn(self, tau1):
         import warnings
 

@@ -157,11 +157,17 @@ class TestSparsePublish:
         assert incremental < cold / 4, (incremental, cold)
 
 
+def _products(state) -> int:
+    """The per-form products held across a state's clean-subtree cache."""
+    return sum(len(entry.products) for entry in state.clean.values())
+
+
 class TestCacheBound:
     def test_chain_caches_stay_proportional_to_the_live_document(self):
         """Insert/delete churn keeps minting configurations that later fall
-        out of the document; the chain's memo, subtree and span caches must
-        track the live document, not the history of the stream."""
+        out of the document; the chain's memo, its clean-subtree cache and
+        the per-form products in it must track the live document, not the
+        history of the stream."""
         tau = tau1_prerequisite_hierarchy()
         rng = random.Random(3)
         instance = generate_registrar_instance(12, max_prereqs=2, seed=2)
@@ -196,8 +202,8 @@ class TestCacheBound:
                 oracle.publish_bytes(subscription.instance)
                 bound = oracle._instance_state(subscription.instance)
                 assert len(state.expansions) <= 4 * len(bound.expansions), index
-                assert len(state.subtrees) <= 4 * len(bound.subtrees), index
-                assert len(state.renders) <= 4 * len(bound.renders), index
+                assert len(state.clean) <= 4 * len(bound.clean), index
+                assert _products(state) <= 4 * _products(bound), index
 
 
 class TestConcurrentMigration:
