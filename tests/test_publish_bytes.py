@@ -8,6 +8,10 @@ The bytes sink is the focus; the contract under test:
   combination, including escaping edge cases and republish chains;
 * the bytes path never constructs a ``TreeNode``;
 * rendered-span cache hits surface through ``stats()`` / ``explain()``;
+* one clean-subtree cache serves every form: an entry holds one product per
+  cached form, the event and annotated forms leave it empty, and a republish
+  carries each entry with all its products; text leaves never touch the
+  memo, and the counters are added once per walk, budget errors included;
 * every form -- tree, bytes (pretty and compact), events, the annotated
   ``publish_full`` and the reference interpreter -- finds the same minimal
   node budget, and they agree on a text root;
@@ -283,6 +287,125 @@ class TestRenderCacheStats:
         report = server.explain("tau1")
         assert report.as_dict()["cache"]["rendered_hits"] == cache["rendered_hits"]
         assert "render cache:" in report.describe()
+
+
+# ---------------------------------------------------------------------------
+# One clean-subtree cache shared by every form; counters once per walk.
+# ---------------------------------------------------------------------------
+
+
+class _CountingLock:
+    """Wraps a plan's lock and counts how often it is taken."""
+
+    def __init__(self, lock) -> None:
+        self.lock = lock
+        self.taken = 0
+
+    def __enter__(self):
+        self.taken += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
+def _forms(plan):
+    return {
+        "tree": plan.publish,
+        "bytes": plan.publish_bytes,
+        "compact": lambda instance: plan.publish_bytes(instance, indent=None),
+        "events": lambda instance: list(plan.publish_events(instance)),
+        "full": plan.publish_full,
+    }
+
+
+class TestOneCleanCache:
+    def test_one_entry_holds_every_cached_form(self):
+        # Acyclic prerequisites: no stop-condition hit, so the root is clean.
+        instance = generate_registrar_instance(15, max_prereqs=2, seed=11)
+        plan = compile_plan(tau1_prerequisite_hierarchy())
+        plan.publish(instance)
+        state = plan._instance_state(instance)
+        configurations = set(state.clean)
+        plan.publish_bytes(instance, indent=2)
+        plan.publish_bytes(instance, indent=None)
+        # The bytes walks add products to the tree walk's entries, no entries.
+        assert set(state.clean) == configurations
+        root = state.clean[plan._root_triple()]
+        assert set(root.products) == {"tree", (2, 0), (None, 0)}
+        for entry in state.clean.values():
+            forms = set(entry.products)
+            assert "tree" in forms and (None, 0) in forms
+            assert any(form[0] == 2 for form in forms - {"tree"})
+
+    def test_cacheless_forms_leave_the_cache_empty(self):
+        instance = generate_registrar_instance(15, max_prereqs=2, seed=11)
+        plan = compile_plan(tau1_prerequisite_hierarchy())
+        list(plan.publish_events(instance))
+        plan.publish_full(instance)
+        state = plan._instance_state(instance)
+        assert state.expansions and state.clean == {}
+
+    @pytest.mark.parametrize("form", ["tree", "bytes", "compact", "events", "full"])
+    def test_text_leaves_never_touch_the_memo(self, form):
+        instance = generate_registrar_instance(15, max_prereqs=2, seed=11, cycle_fraction=0.1)
+        tau = tau1_prerequisite_hierarchy()
+        assert any(node.label == "text" for node in compile_plan(tau).publish(instance).walk())
+        plan = compile_plan(tau)
+        _forms(plan)[form](instance)
+        expansions = plan._instance_state(instance).expansions
+        assert all(triple[1] != "text" for triple in expansions)
+        # Each miss memoises one configuration; a text leaf is never one.
+        assert plan.cache_stats.misses == len(expansions)
+
+    def test_counters_are_added_once_per_walk(self):
+        small = generate_registrar_instance(5, max_prereqs=2, seed=1)
+        large = generate_registrar_instance(40, max_prereqs=2, seed=1)
+        plan = compile_plan(tau1_prerequisite_hierarchy())
+        for name, publish in _forms(plan).items():
+            for instance in (small, large):
+                publish(instance)  # warm: the state and its memo exist
+            lock = plan._lock = _CountingLock(plan._lock)
+            taken = []
+            for instance in (small, large):
+                hits = plan.cache_stats.hits
+                lock.taken = 0
+                publish(instance)
+                taken.append(lock.taken)
+                assert plan.cache_stats.hits > hits, name
+            plan._lock = lock.lock
+            # The lock is taken as often for 40 courses as for 5.
+            assert taken[0] == taken[1], (name, taken)
+
+    def test_a_budget_error_still_adds_the_counters(self):
+        plan = compile_plan(binary_counter_transducer(), max_nodes=50)
+        instance = binary_counter_instance(3)
+        with pytest.raises(TransformationLimitError):
+            plan.publish(instance)
+        expansions = plan._instance_state(instance).expansions
+        assert plan.cache_stats.misses == len(expansions) > 0
+        assert plan.cache_stats.hits > 0
+
+    def test_republish_carries_each_entry_with_all_its_products(self):
+        instance = generate_registrar_instance(20, max_prereqs=2, seed=13)
+        plan = compile_plan(tau1_prerequisite_hierarchy())
+        plan.publish(instance)
+        plan.publish_bytes(instance)
+        before = plan._instance_state(instance).clean
+        result = plan.republish(
+            instance, Delta.insert("course", ("cs999", "New Course", "CS"))
+        )
+        after = plan._instance_state(result.instance).clean
+        carried = [triple for triple, entry in after.items() if before.get(triple) is entry]
+        assert result.changed and carried
+        for triple in carried:
+            assert "tree" in after[triple].products
+            assert any(form != "tree" for form in after[triple].products)
+        hits = plan.cache_stats.rendered_hits
+        assert plan.publish_bytes(result.instance) == _fresh_document(
+            tau1_prerequisite_hierarchy(), result.instance
+        )
+        assert plan.cache_stats.rendered_hits > hits
 
 
 # ---------------------------------------------------------------------------
