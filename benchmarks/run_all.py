@@ -4,7 +4,7 @@ Two kinds of benchmark module live in this directory:
 
 * **script-capable** modules exposing a ``main(argv)`` entry point that
   prints a JSON report (``bench_query_eval``, ``bench_incremental``,
-  ``bench_columnar``, ``bench_serve``, ``bench_parallel``, ...) -- these
+  ``bench_columnar``, ``bench_serve``, ``bench_shard``, ...) -- these
   are run as subprocesses and their JSON is captured verbatim;
 * **pytest-only** modules (the table/figure reproductions) -- these are run
   through pytest with ``--benchmark-disable`` (the timings are secondary;
@@ -113,12 +113,6 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_pool_sizes(results: dict) -> list[int]:
-    """Worker counts exercised by the parallel benchmark (metadata)."""
-    report = results.get("bench_parallel", {}).get("report", {})
-    return list(report.get("workers_tested", []))
-
-
 def _shard_counts(results: dict) -> list[int]:
     """Cluster sizes exercised by the shard benchmark (metadata)."""
     report = results.get("bench_shard", {}).get("report", {})
@@ -175,7 +169,6 @@ def main(argv: list[str]) -> int:
         "mode": "quick" if args.quick else "full",
         "python": sys.version.split()[0],
         "cpu_count": _cpu_count(),
-        "worker_pool_sizes": _worker_pool_sizes(results),
         "shard_counts": _shard_counts(results),
         "results": results,
     }

@@ -356,9 +356,9 @@ class PublishingPlan:
         )
         # Per-instance caches in LRU order (the batch-first working set).
         # The lock guards the LRU structure and the counters below so
-        # concurrent publish() calls (ViewServer with a pool, threaded
-        # callers) neither corrupt the eviction order nor tear counter
-        # updates.  Memo *values* need no lock: expansions are pure
+        # concurrent publish() calls (threaded callers, a NetServerThread
+        # sharing the plan) neither corrupt the eviction order nor tear
+        # counter updates.  Memo *values* need no lock: expansions are pure
         # functions of (triple, instance), so racing writers store the
         # same result and CPython dict operations are atomic.
         self._lock = threading.RLock()
@@ -376,39 +376,6 @@ class PublishingPlan:
         # (repro.engine.walk.BytesSink); tag sets are per-transducer, so
         # per-plan caching is exactly right.
         self._templates: dict[int | None, object] = {}
-
-    # -- process-boundary support --------------------------------------------
-
-    def __getstate__(self):
-        """Pickle only the compiled core: no caches, no lock, zero counters.
-
-        This is what ``repro.parallel`` ships to a worker once per plan:
-        the transducer, dispatch table and query plans cross the process
-        boundary; per-instance memo/render caches are rebuilt worker-side
-        (they are keyed by instance objects that do not cross), and the
-        counters start at zero so a worker copy reports only its own work.
-        """
-        state = self.__dict__.copy()
-        state["_lock"] = None
-        state["_states"] = {}
-        state["_templates"] = {}
-        for counter in (
-            "_hits",
-            "_misses",
-            "_evictions",
-            "_instances_seen",
-            "_invalidated",
-            "_retained",
-            "_changed",
-            "_render_hits",
-            "_render_misses",
-        ):
-            state[counter] = 0
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
 
     # -- introspection -------------------------------------------------------
 

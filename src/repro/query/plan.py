@@ -538,18 +538,6 @@ class QueryPlan:
         self._delta = None  # lazily built repro.query.delta.DeltaPlan
         self._vector = None  # lazily built repro.query.vectorized.VectorKernel
 
-    def __getstate__(self):
-        # The delta and vectorized kernels hold closures; both are lazily
-        # rebuilt on demand, so a pickled plan ships only the operator tree.
-        return (self.root, self.head, self.requirements)
-
-    def __setstate__(self, state):
-        self.root, self.head, self.requirements = state
-        self.executions = 0
-        self.last_backend = None
-        self._delta = None
-        self._vector = None
-
     def _check_requirements(self, instance: Instance, overrides) -> bool:
         for name, arity in self.requirements:
             if name in overrides:
@@ -749,11 +737,7 @@ def _var_list(variables: Sequence[Variable]) -> str:
 
 
 class _ConstAccessor:
-    """Accessor returning a fixed constant regardless of the row.
-
-    A class (not a closure) so compiled plans can cross a process boundary:
-    the parallel executor pickles whole plan trees into worker processes.
-    """
+    """Accessor returning a fixed constant regardless of the row."""
 
     __slots__ = ("value",)
 
@@ -763,15 +747,9 @@ class _ConstAccessor:
     def __call__(self, row):
         return self.value
 
-    def __getstate__(self):
-        return self.value
-
-    def __setstate__(self, state):
-        self.value = state
-
 
 class _ColumnAccessor:
-    """Accessor reading one bound column of the row (picklable, see above)."""
+    """Accessor reading one bound column of the row."""
 
     __slots__ = ("index",)
 
@@ -780,12 +758,6 @@ class _ColumnAccessor:
 
     def __call__(self, row):
         return row[self.index]
-
-    def __getstate__(self):
-        return self.index
-
-    def __setstate__(self, state):
-        self.index = state
 
 
 def _accessor(term: Term, positions: Mapping[Variable, int]):

@@ -71,20 +71,12 @@ _CACHE_ATTR = "_repro_query_plan"
 
 
 class _Unplannable:
+    """Cache sentinel for a query that has no plan (compared by identity)."""
+
     __slots__ = ()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "<unplannable>"
-
-    def __reduce__(self):
-        # plan_query compares by identity; a pickled query object (the
-        # parallel executor ships compiled plans, caches and all, across the
-        # process boundary) must deserialize back to the one sentinel.
-        return (_unplannable, ())
-
-
-def _unplannable() -> "_Unplannable":
-    return _UNPLANNABLE
 
 
 _UNPLANNABLE = _Unplannable()

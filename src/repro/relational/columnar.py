@@ -219,21 +219,6 @@ class DictionaryEncoder:
         self._value_fragments: dict[int, str] = {}
         self._order_keys: dict[int, tuple] = {}
 
-    def __getstate__(self):
-        # Only the decode table crosses a process boundary: the caches are
-        # derived (and can dwarf it after warm publishes), and ``_ids`` is
-        # exactly ``values`` inverted -- one representative per equality
-        # class, in id order -- so the worker rebuilds it losslessly.
-        return self.values
-
-    def __setstate__(self, values) -> None:
-        self.values = values
-        self._ids = {value: index for index, value in enumerate(values)}
-        self._row_cache = {}
-        self._fragment_cache = {}
-        self._value_fragments = {}
-        self._order_keys = {}
-
     # -- encoding ------------------------------------------------------------
 
     def intern(self, value: DataValue) -> int:

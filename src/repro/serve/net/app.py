@@ -41,13 +41,11 @@ Design notes:
   re-registered after a restart by the client, exactly like stored
   procedures.  Nothing executable is ever read from the wire.
 
-The server is single-loop asyncio: evaluation runs inline on the event loop
-(the engine is CPU-bound and the GIL would serialize it anyway).  The
-multi-core story is ``NetServer(pool=...)`` -- a
-:class:`repro.parallel.WorkerPool` shards per-commit subscriber encoding by
-``(namespace, view, source, binding)`` group across worker *processes*
-(see :meth:`NetServer._encode_groups`), with the WAL still available for
-sharding whole sources across server processes.
+The server is single-loop asyncio: evaluation and subscriber encoding run
+inline on the event loop (the engine is CPU-bound and the GIL would
+serialize it anyway).  The multi-core story is the shard cluster
+(:mod:`repro.serve.net.shard`): whole namespaces are sharded across server
+processes, and the WAL hands a namespace from one process to another.
 """
 
 from __future__ import annotations
@@ -160,11 +158,7 @@ class NetServer:
         wal_dir: str | Path | None = None,
         snapshot_every: int = 256,
         fsync: bool = False,
-        pool=None,
     ) -> None:
-        # Caller-owned repro.parallel.WorkerPool (may be shared with the
-        # ViewServer it wraps); None keeps every fan-out on the event loop.
-        self._pool = pool
         self._namespaces: dict[str, ViewServer] = {"default": server or ViewServer()}
         self._catalog = dict(catalog) if catalog is not None else default_catalog()
         self._wal_dir = Path(wal_dir) if wal_dir is not None else None
@@ -191,7 +185,6 @@ class NetServer:
             "deliveries": 0,
             "evicted": 0,
             "recovered_sources": 0,
-            "sharded_groups": 0,
         }
 
     # -- lifecycle -----------------------------------------------------------
@@ -796,97 +789,33 @@ class NetServer:
             pass
         writer.close()
 
-    @staticmethod
-    def _encode_frames(group: _Broadcast, events) -> list[bytes]:
-        """Wire-encode one group's pending events (the serial reference)."""
-        frames = []
-        for event in events:
-            payload = canonical_json(
-                {
-                    "type": "edits",
-                    "view": group.view,
-                    "source": group.source,
-                    "version": event.version,
-                    "empty": event.edits.is_empty(),
-                    "edits": event.edits.to_wire(),
-                }
-            )
-            frames.append(protocol.ws_text_frame(payload))
-        return frames
-
-    async def _encode_groups(
-        self, pending: list[tuple[tuple, _Broadcast, list]]
-    ) -> list[tuple[_Broadcast, list[bytes]]]:
-        """Encode each group's events, sharded across the worker pool.
-
-        The edit scripts of one commit can be large (a blow-up view's diff)
-        and JSON canonicalisation is pure CPU, so with a pool attached each
-        subscriber group's encoding runs on a worker -- sharded by
-        ``(ns, view, source, binding)`` for stable affinity, so a group's
-        repeat commits land on one worker while distinct groups spread out --
-        and the event loop stays free to accept connections meanwhile.
-        Encoding is deterministic, so pooled frames are byte-identical to
-        inline ones; any pool failure (unpicklable edits, worker crash)
-        falls back to inline encoding for that group.
-        """
-        pool = self._pool
-        if pool is None or pool.broken or len(pending) < 2:
-            return [
-                (group, self._encode_frames(group, events))
-                for _, group, events in pending
-            ]
-        from repro.parallel.pool import (
-            NotShippable,
-            PoolBroken,
-            WorkerCrashed,
-            WorkerTaskError,
-        )
-
-        futures: list = []
-        for key, group, events in pending:
-            wire_events = [
-                (group.view, group.source, event.version, event.edits)
-                for event in events
-            ]
-            try:
-                futures.append(pool.submit("encode_events", wire_events, key=key))
-            except (NotShippable, PoolBroken, WorkerCrashed):
-                futures.append(None)
-        out = []
-        for (key, group, events), future in zip(pending, futures):
-            frames = None
-            if future is not None:
-                try:
-                    frames = await asyncio.wrap_future(future)
-                except (PoolBroken, WorkerCrashed, WorkerTaskError):
-                    frames = None
-            if frames is None:
-                frames = self._encode_frames(group, events)
-            else:
-                self.counters["sharded_groups"] += 1
-            out.append((group, frames))
-        return out
-
     async def _fan_out(self, ns: str, handle: SourceHandle) -> int:
         """Push pending subscription events to every group on ``handle``.
 
-        Each event is wire-encoded and framed exactly once -- on a worker
-        process when a pool is attached (see :meth:`_encode_groups`) -- and
-        the per-writer cost is one buffered socket write.  Writers whose
-        buffers exceed :attr:`max_buffered_bytes` (a consumer that stopped
-        reading) are evicted rather than allowed to pin arbitrary memory.
+        Each event is wire-encoded and framed exactly once, inline on the
+        event loop, and the per-writer cost is one buffered socket write.
+        Writers whose buffers exceed :attr:`max_buffered_bytes` (a consumer
+        that stopped reading) are evicted rather than allowed to pin
+        arbitrary memory.
         """
         delivered = 0
-        pending: list[tuple[tuple, _Broadcast, list]] = []
-        for key, group in self._groups.items():
+        touched: dict[asyncio.StreamWriter, _Broadcast] = {}
+        for group in self._groups.values():
             if group.namespace != ns or group.subscription.handle is not handle:
                 continue
-            events = list(group.subscription.drain())
-            if events:
-                pending.append((key, group, events))
-        touched: dict[asyncio.StreamWriter, _Broadcast] = {}
-        for group, frames in await self._encode_groups(pending):
-            for frame in frames:
+            for event in group.subscription.drain():
+                frame = protocol.ws_text_frame(
+                    canonical_json(
+                        {
+                            "type": "edits",
+                            "view": group.view,
+                            "source": group.source,
+                            "version": event.version,
+                            "empty": event.edits.is_empty(),
+                            "edits": event.edits.to_wire(),
+                        }
+                    )
+                )
                 for writer in list(group.writers):
                     if writer.transport.is_closing():
                         self._drop_writer(group, writer)

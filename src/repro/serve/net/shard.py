@@ -9,8 +9,8 @@ protocol to one address: REST calls are proxied over pooled keep-alive
 upstream connections, WebSocket subscriptions are tunneled byte-for-byte, so
 one client socket can watch views living on any shard.
 
-Routing is the crc32 sticky-sharding scheme of :mod:`repro.parallel.pool`:
-``shard_for(namespace, shards)`` pins a namespace to a worker, and an
+Routing is crc32 sticky sharding: ``shard_for(namespace, shards)`` pins a
+namespace to a worker (the crc32 of its ``repr``), and an
 explicit router-table entry overrides it after a rebalance.  What crosses
 the process boundary is data only -- wire-encoded instances and deltas on
 the client path, catalog *references* on the control path (each worker

@@ -11,8 +11,10 @@ snapshots, stored in one directory per source::
 
 * **Write-ahead ordering.**  :func:`attach_durable` arms the handle so
   :meth:`SourceHandle.commit` appends (and flushes) the normalized delta
-  *before* the new version becomes visible; a failed append aborts the
-  commit with the in-memory chain untouched.
+  *before* the new version becomes visible; a failed append truncates the
+  segment back to its previous length and aborts the commit with the
+  in-memory chain untouched, so the next commit reuses the version number
+  and recovery never sees the aborted record.
 * **Records are self-verifying.**  Each log line is ``<crc32> <canonical
   JSON>``; the checksum is over exactly the bytes the network tier would
   stream for the same delta.  A torn final record -- the half-written line of
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -134,92 +135,14 @@ class RecoveredState:
         return self.deltas[-1][0] if self.deltas else self.base_version
 
 
-class _GroupFlusher:
-    """The process-wide group-commit flusher: one daemon thread, lazy-started.
-
-    ``fsync=True`` appends flush their record, enqueue their open segment file
-    here, and block until a flush cycle covers them.  Each cycle drains the
-    whole queue and issues one :func:`os.fsync` per *distinct* file, so
-    concurrent committers -- whether they share a log or merely a cycle --
-    pool their syncs instead of paying one each.  Committers still block
-    until their own record is durable; an fsync failure propagates to every
-    committer it covered.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._queue: list[tuple["DeltaLog", object, dict]] = []
-        self._thread: threading.Thread | None = None
-
-    def wait_durable(self, log: "DeltaLog", file) -> None:
-        """Enqueue ``file`` and block until a cycle has fsynced it."""
-        ticket = {"done": False, "error": None}
-        with self._cond:
-            self._queue.append((log, file, ticket))
-            if self._thread is None or not self._thread.is_alive():
-                self._thread = threading.Thread(
-                    target=self._run, name="wal-group-commit", daemon=True
-                )
-                self._thread.start()
-            self._cond.notify_all()
-            while not ticket["done"]:
-                self._cond.wait()
-        if ticket["error"] is not None:
-            raise ticket["error"]
-
-    def _run(self) -> None:
-        while True:
-            with self._cond:
-                while not self._queue:
-                    self._cond.wait()
-                batch, self._queue = self._queue, []
-            groups: dict[int, tuple[object, list[tuple["DeltaLog", dict]]]] = {}
-            for log, file, ticket in batch:
-                groups.setdefault(id(file), (file, []))[1].append((log, ticket))
-            for file, entries in groups.values():
-                error: BaseException | None = None
-                try:
-                    os.fsync(file.fileno())
-                except (OSError, ValueError) as exc:
-                    error = exc
-                covered: dict[int, tuple["DeltaLog", int]] = {}
-                for log, _ in entries:
-                    count = covered.get(id(log), (log, 0))[1]
-                    covered[id(log)] = (log, count + 1)
-                for log, count in covered.values():
-                    log._fsyncs += 1
-                    if len(entries) > 1:
-                        log._fsync_batched += count
-                with self._cond:
-                    for _, ticket in entries:
-                        ticket["done"] = True
-                        ticket["error"] = error
-                    self._cond.notify_all()
-
-
-_FLUSHER = _GroupFlusher()
-
-
-def _reset_flusher_after_fork() -> None:  # pragma: no cover - exercised by shard workers
-    """Give a forked child a pristine flusher (threads do not survive fork)."""
-    global _FLUSHER
-    _FLUSHER = _GroupFlusher()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_flusher_after_fork)
-
-
 class DeltaLog:
     """One source's write-ahead log directory (see the module docstring).
 
     ``fsync=True`` additionally fsyncs every appended record (and snapshot)
-    before the commit proceeds -- full crash durability at the price of one
-    disk sync per commit.  Concurrent fsync appends are group-committed: each
-    blocks until its record is durable, but records pending together share
-    one :func:`os.fsync` (see :class:`_GroupFlusher` and :meth:`stats`).  The
-    default flushes to the OS, which survives process crashes (the failure
-    mode the tests exercise) but not power loss.
+    on the committing thread before the commit proceeds -- full crash
+    durability at the price of one disk sync per commit.  The default
+    flushes to the OS, which survives process crashes (the failure mode the
+    tests exercise) but not power loss.
     """
 
     def __init__(
@@ -236,8 +159,7 @@ class DeltaLog:
         self._segment_count = 0  # records in the current segment
         self._since_checkpoint = 0  # records since the last snapshot
         self._last_version: int | None = None
-        self._fsyncs = 0  # append-path os.fsync calls issued for this log
-        self._fsync_batched = 0  # records made durable by a shared fsync
+        self._fsyncs = 0  # append-path os.fsync calls completed for this log
 
     # -- inspection ----------------------------------------------------------
 
@@ -266,13 +188,11 @@ class DeltaLog:
     def stats(self) -> dict[str, int]:
         """Append-path durability counters.
 
-        ``fsyncs`` counts the :func:`os.fsync` calls issued on this log's
-        behalf; ``fsync_batched`` counts the appended records whose sync was
-        shared with at least one other pending record (so one fsync covering
-        k >= 2 records adds k).  Snapshot fsyncs are not counted -- they are
-        rare and never batched.
+        ``fsyncs`` counts the record :func:`os.fsync` calls that completed,
+        one per durable commit.  Snapshot fsyncs are not counted -- they are
+        rare.
         """
-        return {"fsyncs": self._fsyncs, "fsync_batched": self._fsync_batched}
+        return {"fsyncs": self._fsyncs}
 
     # -- writing -------------------------------------------------------------
 
@@ -292,17 +212,32 @@ class DeltaLog:
         self._since_checkpoint = 0
 
     def append(self, version: int, delta: Delta) -> None:
-        """Append one commit record (called by the armed handle, pre-visibility)."""
+        """Append one commit record (called by the armed handle, pre-visibility).
+
+        The segment is unbuffered, so the record reaches the OS in the write
+        itself.  If the write or the fsync raises, the segment is truncated
+        back to its length before the record and the error propagates: the
+        log is unchanged, and the aborted version is free for the next
+        commit.
+        """
         if self._last_version is not None and version != self._last_version + 1:
             raise WalError(
                 f"out-of-order append: version {version} after {self._last_version}"
             )
         if self._file is None or self._segment_count >= self.segment_records:
             self._roll_segment(version)
-        self._file.write(_record_line(version, delta))
-        self._file.flush()
-        if self.fsync:
-            _FLUSHER.wait_durable(self, self._file)
+        line = _record_line(version, delta)
+        start = self._file.tell()
+        try:
+            written = 0
+            while written < len(line):
+                written += self._file.write(line[written:])
+            if self.fsync:
+                os.fsync(self._file.fileno())
+                self._fsyncs += 1
+        except BaseException:
+            os.ftruncate(self._file.fileno(), start)
+            raise
         self._segment_count += 1
         self._since_checkpoint += 1
         self._last_version = version
@@ -312,7 +247,7 @@ class DeltaLog:
             self._file.close()
         self.directory.mkdir(parents=True, exist_ok=True)
         path = _segment_path(self.directory, first_version)
-        self._file = open(path, "ab")
+        self._file = open(path, "ab", buffering=0)
         self._segment_count = 0
 
     def _write_snapshot(self, version: int, instance: Instance, encoded: bool) -> None:

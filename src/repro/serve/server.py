@@ -1013,22 +1013,15 @@ class ViewServer:
         max_nodes: int = DEFAULT_MAX_NODES,
         cache_instances: int = 8,
         maintained_views: int = 32,
-        pool=None,
     ) -> None:
         self._engine = Engine(max_nodes=max_nodes, cache_instances=cache_instances)
         self._max_nodes = max_nodes
-        # Optional repro.parallel.WorkerPool: publish_batch fans serialised
-        # publishes of different views/versions across it, and stats()
-        # folds the fleet's merged cache counters into the report.  The
-        # pool is owned by the caller (one pool may serve many servers and
-        # the network tier at once); None keeps every path serial.
-        self._pool = pool
         self._max_maintained = max(1, maintained_views)
         self._views: dict[str, RegisteredView] = {}
         self._handles: dict[str, SourceHandle] = {}
         self._plan_cache: dict[tuple[int, int | None], PublishingPlan] = {}
         # Maintained (view, binding, source, backend, budget) chains in LRU
-        # order; subscriptions hold their own chains outside this cap.
+        # order; chains with subscribers are exempt from the cap.
         self._maintained: dict[tuple, _MaintainedView] = {}
         # Encoded twins of raw (unattached) instances published with
         # backend="columnar", so repeated one-shot publishes do not re-intern
@@ -1305,116 +1298,6 @@ class ViewServer:
             guard._ensure_validated_tree(plan, tree, instance, budget)
         return self._render_tree(tree, output)
 
-    @property
-    def pool(self):
-        """The attached :class:`repro.parallel.WorkerPool`, or ``None``."""
-        return self._pool
-
-    def publish_batch(self, requests: "Iterable[Mapping]", *, pool=None) -> list:
-        """Evaluate many :meth:`publish` requests, in parallel when possible.
-
-        ``requests`` is an iterable of keyword-argument mappings for
-        :meth:`publish` (``view`` plus any of ``source``, ``version``,
-        ``params``, ``output``, ``backend``, ``maintenance``, ``indent``,
-        ``max_nodes``).  Results come back in request order and are
-        byte-identical to calling :meth:`publish` serially.
-
-        With a worker pool (``pool=`` here or ``ViewServer(pool=...)``),
-        serialised outputs (``bytes`` / ``xml`` / ``compact``) of different
-        views and versions run concurrently across worker processes: the
-        compiled plan and the version's snapshot ship once per worker
-        (instances are immutable MVCC snapshots, so a worker's copy is a
-        consistent read regardless of concurrent commits), and requests
-        shard by ``(view, binding)`` so repeated publishes of one view hit
-        that worker's warm caches.  Requests the pool cannot take -- tree
-        and event outputs, unpicklable artefacts, a crashed fleet -- run
-        serially in-process; a mid-flight worker death re-runs only the
-        orphaned requests.
-        """
-        pool = pool if pool is not None else self._pool
-        requests = [dict(request) for request in requests]
-        results: list = [None] * len(requests)
-        pending: list[tuple[int, object, object]] = []  # (index, future, retry)
-        for index, request in enumerate(requests):
-            dispatched = False
-            if pool is not None and not pool.broken:
-                dispatched = self._dispatch_publish(pool, request, pending, index)
-            if not dispatched:
-                results[index] = self.publish(**request)
-        for index, future, request in pending:
-            from repro.parallel.pool import PoolBroken, WorkerCrashed, WorkerTaskError
-
-            try:
-                results[index] = future.result()
-            except (PoolBroken, WorkerCrashed, WorkerTaskError):
-                # The worker (or its reply) is gone -- not a publish error,
-                # those propagate as their own types.  Serve serially.
-                results[index] = self.publish(**request)
-        return results
-
-    def _dispatch_publish(self, pool, request: dict, pending: list, index: int) -> bool:
-        """Try to run one publish request on the pool; False -> serial.
-
-        Mirrors :meth:`publish`'s resolution exactly -- view, binding,
-        snapshot, backend twin, budget -- then ships a worker-side
-        ``publish_bytes``.  Serialised outputs only: the streaming/tree
-        forms return live objects that must not cross a process boundary.
-        """
-        output = request.get("output", "tree")
-        if output not in ("bytes", "xml", "compact") or request.get("write") is not None:
-            return False
-        from repro.parallel.pool import NotShippable, PoolBroken, WorkerCrashed
-
-        view = request["view"]
-        registered = view if isinstance(view, RegisteredView) else self.view(view)
-        _checked(request.get("backend", "auto"), BACKENDS, "backend")
-        _checked(request.get("maintenance", "auto"), MAINTENANCE, "maintenance")
-        binding = registered.binding_key(request.get("params"))
-        plan = registered.plan_for_key(binding)
-        handle, snapshot = self._resolve_source(
-            request.get("source"), request.get("version")
-        )
-        backend = request.get("backend", "auto")
-        budget = request.get("max_nodes")
-        if budget is None:
-            budget = registered._max_nodes
-        if handle is None:
-            if request.get("maintenance") == "incremental":
-                return False  # let publish() raise the canonical error
-            instance = self._route_raw(snapshot, backend)
-        else:
-            instance = handle._instance_for(snapshot, backend)
-        if registered._runtime_validation(binding) and not registered._is_validated(
-            plan, instance, budget
-        ):
-            # Not-yet-validated documents stay in-process: the serial path
-            # validates (and memoises), after which this version ships to
-            # the pool freely.
-            return False
-        indent = None if output == "compact" else request.get("indent", 2)
-        try:
-            plan_token = pool.install(plan)
-            instance_token = pool.install(instance)
-            future = pool.submit(
-                "publish_bytes",
-                plan_token,
-                instance_token,
-                indent=indent,
-                max_nodes=budget,
-                key=(registered.name, binding),
-                tokens=(plan_token, instance_token),
-            )
-        except (NotShippable, PoolBroken, WorkerCrashed):
-            return False
-        registered.publishes += 1
-        registered.last_backend = (
-            ("columnar" if instance.is_encoded else "row")
-            if backend == "auto"
-            else backend
-        )
-        pending.append((index, future, request))
-        return True
-
     def subscribe(
         self,
         view: str | RegisteredView,
@@ -1494,7 +1377,7 @@ class ViewServer:
         from repro.serve.stats import explain_view
 
         registered = view if isinstance(view, RegisteredView) else self.view(view)
-        return explain_view(registered, params, pool=self._pool)
+        return explain_view(registered, params)
 
     @property
     def subscriptions(self) -> tuple[Subscription, ...]:
@@ -1562,12 +1445,12 @@ class ViewServer:
     def _install_maintained(self, key: tuple, chain: _MaintainedView) -> _MaintainedView:
         """Install a freshly seeded chain (or adopt a concurrent winner).
 
-        At most ``maintained_views`` chains are kept, evicted
-        least-recently-used -- the serving-layer mirror of the engine's
-        ``cache_instances`` bound, so long-running servers with many
+        At most ``maintained_views`` chains without subscribers are kept,
+        evicted least-recently-used -- the serving-layer mirror of the
+        engine's ``cache_instances`` bound, so long-running servers with many
         distinct (view, binding, source, backend) shapes stay bounded in
-        memory.  Subscriptions own their chains and are not subject to the
-        cap.
+        memory.  A chain with subscribers is never evicted: a later
+        :meth:`subscribe` on its key must find it and share its republish.
         """
         with self._lock:
             winner = self._maintained.get(key)
@@ -1576,8 +1459,9 @@ class ViewServer:
                 self._maintained[key] = winner
                 return winner
             self._maintained[key] = chain
-            while len(self._maintained) > self._max_maintained:
-                del self._maintained[next(iter(self._maintained))]
+            idle = [k for k, c in self._maintained.items() if not c.subscribers]
+            for stale in idle[: max(0, len(idle) - self._max_maintained)]:
+                del self._maintained[stale]
             return chain
 
     def _sole_handle(self) -> SourceHandle:

@@ -96,10 +96,6 @@ class ServerStats:
     subscriptions: int
     deliveries: int
     maintained_views: int
-    #: ``WorkerPool.stats()`` of the attached pool (worker count, per-worker
-    #: task tallies, merged worker-side cache counters), or
-    #: ``None`` when the server runs serial.
-    pool: dict | None = None
 
     def as_dict(self) -> dict:
         """The whole aggregate as plain dicts (JSON-friendly)."""
@@ -113,15 +109,6 @@ class ServerStats:
             f"({self.deliveries} deliveries), "
             f"{self.maintained_views} maintained chain(s)"
         ]
-        if self.pool is not None:
-            worker_cache = self.pool.get("worker_cache", {})
-            lines.append(
-                f"  pool: {self.pool.get('workers', 0)} worker(s) "
-                f"({self.pool.get('alive', 0)} alive), "
-                f"{self.pool.get('tasks_dispatched', 0)} task(s) dispatched, "
-                f"worker caches {worker_cache.get('hits', 0)} hits / "
-                f"{worker_cache.get('misses', 0)} misses"
-            )
         for view in self.views:
             cache = view.cache
             lines.append(
@@ -216,14 +203,12 @@ def collect_stats(server: "ViewServer") -> ServerStats:
                 ),
             )
         )
-    pool = getattr(server, "_pool", None)
     return ServerStats(
         views=tuple(views),
         sources=tuple(sources),
         subscriptions=len(server.subscriptions),
         deliveries=server._deliveries,
         maintained_views=len(server._maintained),
-        pool=pool.stats() if pool is not None else None,
     )
 
 
@@ -355,10 +340,6 @@ class ExplainReport:
     rules: tuple[RuleExplain, ...]
     cache: dict
     maintenance: str
-    #: Pool snapshot (``WorkerPool.stats()``) when the server publishes
-    #: through a worker pool; the cache counters above are parent-process
-    #: only, so this is where worker-side hits/misses surface.
-    pool: dict | None = None
     #: The binding's :meth:`TypecheckResult.as_dict` plus the view's
     #: ``mode``/``validated``/``violations`` counters, or ``None`` when the
     #: view carries no ``output_dtd``.
@@ -390,15 +371,6 @@ class ExplainReport:
                 f"{self.typecheck['validated']} document(s) validated, "
                 f"{self.typecheck['violations']} violation(s)"
             )
-        if self.pool is not None:
-            worker_cache = self.pool.get("worker_cache", {})
-            lines.append(
-                f"  pool: {self.pool.get('workers', 0)} worker(s), "
-                f"{self.pool.get('tasks_dispatched', 0)} task(s) dispatched; "
-                f"worker caches "
-                f"{worker_cache.get('hits', 0)} hits / "
-                f"{worker_cache.get('misses', 0)} misses"
-            )
         for rule in self.rules:
             order = " >< ".join(rule.join_order) or "(no scans)"
             backend = rule.last_backend or "none yet"
@@ -414,14 +386,8 @@ class ExplainReport:
 def explain_view(
     view: "RegisteredView",
     params: Mapping[str, DataValue] | None = None,
-    pool=None,
 ) -> ExplainReport:
-    """Build the :class:`ExplainReport` for one binding of ``view``.
-
-    ``pool`` is the server's :class:`~repro.parallel.WorkerPool` (if any);
-    its merged worker-side counters ride along so the report covers every
-    process that published this view, not just the parent.
-    """
+    """Build the :class:`ExplainReport` for one binding of ``view``."""
     plan = view.plan_for(params)
     rules = []
     semi_naive = recompute = unplanned = 0
@@ -481,6 +447,5 @@ def explain_view(
         rules=tuple(rules),
         cache=cache,
         maintenance=maintenance,
-        pool=pool.stats() if pool is not None else None,
         typecheck=typecheck,
     )

@@ -159,6 +159,36 @@ def test_two_subscribers_get_identical_payloads(client):
         assert a.recv() == b.recv()
 
 
+def test_two_group_delivery_matches_oracle(client):
+    client.register_view("tau1")
+    client.register_view("tau2")
+    client.attach(example_registrar_instance(), name="db")
+    with client.subscribe("tau1", source="db") as one, client.subscribe(
+        "tau2", source="db"
+    ) as two, client.subscribe("tau1", source="db") as echo:
+        tree_one = tree_from_wire(one.recv()["document"])
+        tree_two = tree_from_wire(two.recv()["document"])
+        echo.recv()
+        commits = [
+            Delta.insert("course", ("CS901", "A", "CS")),
+            Delta.insert("prereq", ("CS901", "CS240")),
+            Delta.delete("prereq", ("CS901", "CS240")),
+        ]
+        for version, delta in enumerate(commits, start=1):
+            out = client.commit("db", delta)
+            assert out["delivered"] == 3
+            message = one.recv()
+            # Same-group subscribers share one encoded frame.
+            assert echo.recv() == message
+            assert message["version"] == version
+            tree_one = edits_of(message).apply(tree_one)
+            tree_two = edits_of(two.recv()).apply(tree_two)
+        for view, tree in (("tau1", tree_one), ("tau2", tree_two)):
+            with client.subscribe(view, source="db") as check:
+                fresh = tree_from_wire(check.recv()["document"])
+            assert trees_equal(tree, fresh)
+
+
 def test_namespaces_are_isolated(server):
     east = NetClient(*server.address, namespace="east")
     west = NetClient(*server.address, namespace="west")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import threading
 
 import pytest
 
@@ -396,6 +397,35 @@ class TestSubscriptions:
         first, second = subscriptions[0], subscriptions[1]
         assert first.tree is second.tree  # the shared chain's tree
 
+    def test_subscribed_chain_survives_the_maintained_cap(self):
+        server = ViewServer(maintained_views=1)
+        server.register_view("tau1", tau1_prerequisite_hierarchy())
+        server.register_view("tau2", tau2_prerequisite_closure("CS"))
+        handle = server.attach(example_registrar_instance())
+        first = server.subscribe("tau1")
+        # A tree publish seeds an idle chain; the cap must evict it, not the
+        # subscribed one.
+        server.publish("tau2")
+        second = server.subscribe("tau1")
+        plan = server.view("tau1").plan_for(None)
+        calls = []
+        original = plan.republish
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        plan.republish = counting
+        try:
+            handle.commit(Delta.insert("course", ("cs983", "Capped", "CS")))
+        finally:
+            plan.republish = original
+        assert len(calls) == 1
+        assert first.tree is second.tree
+        assert first.pop().version == second.pop().version == 1
+        # The subscribed chain plus the one idle chain the cap allows.
+        assert server.stats().maintained_views == 2
+
     def test_prune_bounds_history_and_lagging_chains_reseed(self):
         tau = tau1_prerequisite_hierarchy()
         server = ViewServer()
@@ -720,6 +750,48 @@ class TestObservability:
         text = report.describe()
         assert "delta:" in text and "backend=" in text
         assert report.as_dict()["view"] == "tau3"
+
+
+class TestConcurrentServing:
+    """Satellite: no torn cache counters under concurrent ``publish()``."""
+
+    def test_concurrent_publish_is_consistent(self):
+        server = ViewServer()
+        server.register_view("tau1", tau1_prerequisite_hierarchy())
+        server.register_view("tau2", tau2_prerequisite_closure("CS"))
+        handle = server.attach(example_registrar_instance())
+        oracles = {
+            name: server.publish(name, source=handle, output="bytes")
+            for name in ("tau1", "tau2")
+        }
+        errors: list[BaseException] = []
+
+        def hammer(name):
+            try:
+                for _ in range(20):
+                    assert (
+                        server.publish(name, source=handle, output="bytes")
+                        == oracles[name]
+                    )
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=hammer, args=(name,))
+            for name in ("tau1", "tau2", "tau1", "tau2")
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        for view in server.stats().views:
+            cache = view.cache
+            # Counters moved under a lock: totals must be coherent (no torn
+            # half-updates showing e.g. negative or impossible values).
+            assert cache["hits"] >= 0 and cache["misses"] >= 0
+            assert cache["rendered_hits"] + cache["rendered_misses"] > 0
+            assert 0.0 <= cache["hit_rate"] <= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import random
-import time
 
 import pytest
 
@@ -228,18 +227,31 @@ def test_prune_returns_dropped_indices(tau1):
     assert [version.index for version in handle.history()] == [3, 4]
 
 
-# -- group commit ------------------------------------------------------------
+# -- fsync and failed appends ------------------------------------------------
 
 
-def test_fsync_counters_for_serial_commits(tmp_path, tau1):
+def test_fsync_counters_for_serial_commits(tmp_path, tau1, monkeypatch):
+    import threading
+
+    import repro.serve.net.wal as wal_module
+
     vs = ViewServer()
     vs.register_view("t", tau1)
     log = DeltaLog(tmp_path / "wal", fsync=True)
     handle = attach_durable(vs, generate_registrar_instance(10, seed=4), log)
+    real_fsync = os.fsync
+    threads = []
+
+    def recording_fsync(fd):
+        threads.append(threading.get_ident())
+        real_fsync(fd)
+
+    monkeypatch.setattr(wal_module.os, "fsync", recording_fsync)
     for delta in _deltas(3):
         handle.commit(delta)
-    # serial committers never overlap, so every record pays its own fsync
-    assert log.stats() == {"fsyncs": 3, "fsync_batched": 0}
+    # every record pays its own fsync, on the thread that commits it
+    assert log.stats() == {"fsyncs": 3}
+    assert threads == [threading.get_ident()] * 3
 
     vs2 = ViewServer()
     vs2.register_view("t", tau1)
@@ -248,65 +260,84 @@ def test_fsync_counters_for_serial_commits(tmp_path, tau1):
     assert vs2.publish("t", source=restored, output="bytes") == vs.publish(
         "t", source=handle, output="bytes"
     )
+    log.close()
 
 
-def test_group_commit_shares_one_fsync(tmp_path, monkeypatch):
-    import threading
-
+def test_failed_fsync_leaves_the_log_unchanged(tmp_path, tau1, monkeypatch):
     import repro.serve.net.wal as wal_module
 
-    instance = generate_registrar_instance(4, seed=1)
-    decoy = DeltaLog(tmp_path / "decoy", fsync=False)
-    log = DeltaLog(tmp_path / "log", fsync=False)
-    decoy.begin(0, instance)
-    log.begin(0, instance)
-    decoy.fsync = log.fsync = True  # armed after begin: snapshot syncs stay out
+    vs = ViewServer()
+    vs.register_view("t", tau1)
+    log = DeltaLog(tmp_path / "wal", fsync=True)
+    handle = attach_durable(vs, generate_registrar_instance(10, seed=4), log)
+    deltas = _deltas(3)
+    handle.commit(deltas[0])
+    history = [version.index for version in handle.history()]
 
     real_fsync = os.fsync
-    entered = threading.Event()
-    gate = threading.Event()
+    failures = [OSError("disk on fire")]
 
-    def gated_fsync(fd):
-        entered.set()
-        gate.wait(10)
+    def flaky_fsync(fd):
+        if failures:
+            raise failures.pop()
         real_fsync(fd)
 
-    monkeypatch.setattr(wal_module.os, "fsync", gated_fsync)
+    monkeypatch.setattr(wal_module.os, "fsync", flaky_fsync)
+    with pytest.raises(OSError, match="disk on fire"):
+        handle.commit(deltas[1])
+    assert handle.version == 1
+    assert [version.index for version in handle.history()] == history
+    # the aborted version number is free again, and the chain continues
+    assert handle.commit(deltas[1]).index == 2
+    assert handle.commit(deltas[2]).index == 3
 
-    def _wait_for(predicate):
-        deadline = time.monotonic() + 10
-        while not predicate():
-            assert time.monotonic() < deadline, "timed out waiting for flusher state"
-            time.sleep(0.001)
-
-    deltas = _deltas(3, seed=7)
-    # park the flusher inside the decoy's fsync so further appends pile up
-    blocker = threading.Thread(target=decoy.append, args=(1, deltas[0]))
-    blocker.start()
-    assert entered.wait(10)
-
-    # Handle-level commits serialize under the handle lock, so two records
-    # can only pend on one file through direct concurrent appends; disarm
-    # the ordering check (the second append starts before the first has
-    # recorded its version).
-    log._last_version = None
-    first = threading.Thread(target=log.append, args=(1, deltas[1]))
-    first.start()
-    _wait_for(lambda: len(wal_module._FLUSHER._queue) == 1)
-    second = threading.Thread(target=log.append, args=(2, deltas[2]))
-    second.start()
-    _wait_for(lambda: len(wal_module._FLUSHER._queue) == 2)
-
-    gate.set()
-    for thread in (blocker, first, second):
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-
-    # both pending records were made durable by ONE shared fsync
-    assert log.stats() == {"fsyncs": 1, "fsync_batched": 2}
-    assert decoy.stats() == {"fsyncs": 1, "fsync_batched": 0}
+    vs2 = ViewServer()
+    vs2.register_view("t", tau1)
+    restored = recover_source(vs2, tmp_path / "wal", name="db")
+    assert restored.version == 3
+    assert vs2.publish("t", source=restored, output="bytes") == vs.publish(
+        "t", source=handle, output="bytes"
+    )
+    assert log.stats() == {"fsyncs": 3}
     log.close()
-    decoy.close()
+
+
+def test_failed_write_truncates_the_partial_record(tmp_path):
+    log = DeltaLog(tmp_path / "wal")
+    log.begin(0, generate_registrar_instance(4, seed=1))
+    deltas = _deltas(2, seed=3)
+    log.append(1, deltas[0])
+    [(_, segment)] = log.segments()
+    before = segment.read_bytes()
+
+    class HalfWriter:
+        """Writes half of the record, then fails like a full disk."""
+
+        def __init__(self, file):
+            self.file = file
+
+        def write(self, data):
+            self.file.write(data[: len(data) // 2])
+            raise OSError("no space left")
+
+        def tell(self):
+            return self.file.tell()
+
+        def fileno(self):
+            return self.file.fileno()
+
+    real = log._file
+    log._file = HalfWriter(real)
+    with pytest.raises(OSError, match="no space left"):
+        log.append(2, deltas[1])
+    log._file = real
+    assert segment.read_bytes() == before
+    assert log.last_version == 1
+    log.append(2, deltas[1])
+    log.close()
+    state = DeltaLog(tmp_path / "wal").recover()
+    assert [version for version, _ in state.deltas] == [1, 2]
+    assert not state.torn
 
 
 def test_fsync_failure_propagates_to_the_committer(tmp_path, monkeypatch):
