@@ -12,10 +12,12 @@ register)`` configuration repeats thousands of times.
 
 * **dispatch** -- the rule for every ``(state, tag)`` pair is resolved to a
   tuple of compiled items with pre-bound query evaluators;
-* **register schemas** -- the extended schemas making ``Reg`` / ``Reg_<tag>``
-  visible are built once per ``(tag, arity)`` and shared across nodes, and
-  register relations are overlaid on the source without copying it
-  (:meth:`~repro.relational.instance.Instance.overlaid`);
+* **one register channel** -- a rule query reads the register as one more
+  relation (``Reg`` / ``Reg_<tag>``) of the instance; planned queries get
+  it through the plans' ``overrides`` channel, so no per-node instance is
+  built.  Only items without a usable plan evaluate on a register overlay
+  of the source (:meth:`~repro.relational.instance.Instance.overlaid`,
+  with the extended schema built once per ``(tag, arity)``);
 * **memoised expansions** -- the transformation is *confluent*: the one-step
   expansion of a node depends only on its ``(state, tag, register)`` triple
   and the source instance, never on its ancestors (the stop condition is
@@ -41,14 +43,14 @@ clean-subtree cache across them:
 These (plus :meth:`~PublishingPlan.republish` below) are the core drivers
 the serving layer (:class:`repro.serve.ViewServer`) routes onto.
 
-On instances carrying a dictionary encoding
-(:func:`repro.relational.columnar.ensure_encoded`) the whole pipeline runs
-in **integer space**: register contents and memo keys are frozensets of
-encoded tuples, planned rule queries execute on the vectorized columnar
-kernel with the registers fed through the encoded-override channel (no
-overlay instance, no per-node schema extension), and values are decoded only
-where text is emitted or sibling order consults the implicit order on ``D``.
-Output is byte-identical with the encoding on or off.
+Whether registers hold domain values or dictionary ids is decided once per
+instance (:class:`_InstanceState`).  On instances carrying a dictionary
+encoding (:func:`repro.relational.columnar.ensure_encoded`) the pipeline
+runs in **integer space**: register contents and memo keys are frozensets
+of encoded tuples, planned rule queries execute on the vectorized columnar
+kernel, and values are decoded only where text is emitted or sibling order
+consults the implicit order on ``D``.  The same code runs both
+representations, and output is byte-identical with the encoding on or off.
 
 On top of them sits **incremental view maintenance**
 (:meth:`PublishingPlan.republish`): given a source
@@ -88,7 +90,7 @@ from repro.engine.walk import (
 )
 from repro.query.planner import plan_query
 from repro.relational.delta import Delta
-from repro.relational.domain import DataValue, tuple_order_key
+from repro.relational.domain import tuple_order_key
 from repro.relational.instance import Instance, Relation
 from repro.relational.schema import RelationSchema, RelationalSchema
 from repro.xmltree.diff import EditScript, diff_trees
@@ -263,8 +265,34 @@ class _CompiledItem:
         self.relations = frozenset(rule_query.query.relation_names())
 
 
+def _same(value):
+    return value
+
+
+def _run_rows(plan, source: Instance, overrides) -> frozenset:
+    return plan.execute(source, overrides)
+
+
+def _run_encoded(plan, source: Instance, overrides) -> frozenset | None:
+    if plan.vector_kernel() is None:
+        return None
+    return plan.execute_encoded(source, overrides)
+
+
 class _InstanceState:
     """Everything the plan caches for one source instance.
+
+    The register representation is decided here, once, from the instance's
+    dictionary encoding.  Row instances keep domain values; encoded ones
+    keep integer ids, which stay valid across ``apply_delta`` versions (the
+    append-only ``encoder`` is shared along the lineage), so encoded memo
+    entries survive republish.  Five callables answer everything the engine
+    asks of the representation: ``run(plan, source, overrides)`` executes a
+    query plan with registers and delta rows supplied as overrides in this
+    representation (``None`` when the columnar kernel cannot run the plan);
+    ``encode`` brings raw rows into it and ``intern`` one constant;
+    ``decode`` turns a register back into domain values; ``order_key`` is
+    the implicit order on ``D`` over a group key.
 
     ``clean`` maps a configuration to the
     :class:`~repro.engine.walk.CleanSubtree` of its subtree, valid for this
@@ -287,7 +315,11 @@ class _InstanceState:
     __slots__ = (
         "instance",
         "encoder",
-        "active_domain",
+        "run",
+        "encode",
+        "intern",
+        "decode",
+        "order_key",
         "ext_schemas",
         "expansions",
         "volatile",
@@ -298,15 +330,17 @@ class _InstanceState:
 
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
-        # When the instance carries a dictionary encoding, the whole
-        # pipeline for it runs in integer space: register contents and memo
-        # keys are frozensets of encoded tuples, planned rule queries run on
-        # the columnar kernel, and values are decoded only where text is
-        # emitted.  Ids are stable across apply_delta migrations (the
-        # encoder is append-only and shared along the version lineage), so
-        # encoded memo entries survive republish.
-        self.encoder = instance._encoding
-        self.active_domain = instance.active_domain()
+        encoder = self.encoder = instance._encoding
+        if encoder is None:
+            self.run = _run_rows
+            self.encode = self.intern = self.decode = _same
+            self.order_key = tuple_order_key
+        else:
+            self.run = _run_encoded
+            self.encode = encoder.encode_rows
+            self.intern = encoder.intern
+            self.decode = encoder.decode_rows
+            self.order_key = encoder.row_order_key
         self.ext_schemas: dict[tuple[str, int], RelationalSchema] = {}
         self.expansions: dict[Triple, tuple[Triple, ...]] = {}
         self.volatile: dict[tuple[str, str], set[Triple]] = {}
@@ -675,13 +709,15 @@ class PublishingPlan:
         The semi-naive device of :mod:`repro.query.delta`, applied at the
         rule level: for every rule query reading a changed relation, the
         per-occurrence delta variants are run with the (tiny) changed tuple
-        sets -- insertions against the updated overlay, deletions against
-        the overlay of ``prior``, the previous version.  Monotonicity bounds
-        the query's answer changes by those candidate sets, so when every
-        variant comes back empty the answers -- and hence the grouped
-        expansion -- are provably unchanged without re-evaluating any full
-        rule query.  ``info`` is the rule's :meth:`_pair_delta_info`; rules
-        with unplanned or non-monotone queries prove nothing.
+        sets and the register as overrides -- insertions against the updated
+        instance, deletions against ``prior``, the previous version (which
+        shares the representation: :meth:`republish` cold-starts mixed
+        lineages).  Monotonicity bounds the query's answer changes by those
+        candidate sets, so when every variant comes back empty the answers
+        -- and hence the grouped expansion -- are provably unchanged without
+        re-evaluating any full rule query.  ``info`` is the rule's
+        :meth:`_pair_delta_info`; rules with unplanned or non-monotone
+        queries prove nothing.
         """
         mode = info.mode
         if mode == "clean":
@@ -702,50 +738,11 @@ class PublishingPlan:
         triple: Triple,
     ) -> bool:
         """The "variants" check of :meth:`_unproven`: run the per-occurrence
-        delta plans against one register's overlays; empty candidates on
-        every occurrence prove its answers (and expansion) unchanged."""
+        delta plans with one register in the override channel (shadowing
+        both register names); empty candidates on every occurrence prove its
+        answers (and expansion) unchanged."""
         _, tag, register = triple
-        if state.encoder is not None:
-            return self._variants_clean_encoded(state, prior, delta, info, tag, register)
-        new_overlay = self._overlay(state, tag, register)
-        old_overlay: Instance | None = None
-        for machinery, touched in info.checks:
-            name = machinery.delta_name
-            for relation in touched:
-                inserted = delta.inserted_into(relation)
-                if inserted:
-                    for variant in machinery.variants[relation]:
-                        if variant.execute(new_overlay, {name: inserted}):
-                            return False
-                deleted = delta.deleted_from(relation)
-                if deleted:
-                    if old_overlay is None:
-                        old_overlay = self._overlay(state, tag, register, base=prior)
-                    for variant in machinery.variants[relation]:
-                        if variant.execute(old_overlay, {name: deleted}):
-                            return False
-        return True
-
-    def _variants_clean_encoded(
-        self,
-        state: _InstanceState,
-        prior: Instance,
-        delta: Delta,
-        info: _PairDelta,
-        tag: str,
-        register: RegisterContent,
-    ) -> bool:
-        """:meth:`_variants_clean` in integer space.
-
-        The register stays encoded and is fed to the delta variants through
-        the encoded-override channel (shadowing both register names), with
-        the tiny delta change sets interned on the fly; insertions run
-        against the updated instance, deletions against ``prior`` (which
-        shares the encoder: :meth:`republish` cold-starts mixed lineages).
-        """
-        encoder = state.encoder
-        specific = register_relation_name(tag)
-        reg_overrides = {GENERIC_REGISTER_NAME: register, specific: register}
+        reg_overrides = {GENERIC_REGISTER_NAME: register, register_relation_name(tag): register}
         for machinery, touched in info.checks:
             name = machinery.delta_name
             for relation in touched:
@@ -755,12 +752,10 @@ class PublishingPlan:
                 ):
                     if not rows:
                         continue
-                    encoded = encoder.encode_rows(rows)
-                    overrides = {**reg_overrides, name: encoded}
+                    overrides = {**reg_overrides, name: state.encode(rows)}
                     for variant in machinery.variants[relation]:
-                        if variant.vector_kernel() is None:
-                            return False
-                        if variant.execute_encoded(source, overrides):
+                        answers = state.run(variant, source, overrides)
+                        if answers is None or answers:
                             return False
         return True
 
@@ -814,14 +809,15 @@ class PublishingPlan:
             if witnesses is None:
                 return _PairDelta("variants", checks=tuple(checks))
             witnessed.append((machinery, touched, witnesses))
-        pool: set[tuple[DataValue, ...]] = set()
+        pool: set[tuple] = set()
         for triple in triples:
             pool |= triple[2]
         reg_rows = frozenset(pool)
         specific = register_relation_name(pair[1])
-        dirty: set[tuple[DataValue, ...]] = set()
+        # The dirty index is in the registers' representation, so the
+        # per-register check compares like with like.
+        dirty: set[tuple] = set()
         dirty_all = False
-        encoder = state.encoder
         for machinery, touched, witnesses in witnessed:
             name = machinery.delta_name
             for relation in touched:
@@ -831,40 +827,22 @@ class PublishingPlan:
                 ):
                     if not rows:
                         continue
-                    if encoder is not None:
-                        # Encoded pipeline: the register pool is already in
-                        # integer space; intern the delta rows and keep the
-                        # dirty index encoded so the per-register check is
-                        # an integer set-disjointness test.
-                        overrides = {
-                            name: encoder.encode_rows(rows),
-                            GENERIC_REGISTER_NAME: reg_rows,
-                            specific: reg_rows,
-                        }
-                        for variant, specs in witnesses[relation]:
-                            if variant.vector_kernel() is None:
-                                return _PAIR_RECOMPUTE
-                            if not specs:
-                                if variant.execute_encoded(source, overrides):
-                                    dirty_all = True
-                            else:
-                                for spec in specs:
-                                    dirty |= spec.tuples_encoded(
-                                        encoder, source, overrides
-                                    )
-                        continue
                     overrides = {
-                        name: rows,
+                        name: state.encode(rows),
                         GENERIC_REGISTER_NAME: reg_rows,
                         specific: reg_rows,
                     }
                     for variant, specs in witnesses[relation]:
                         if not specs:
-                            if variant.execute(source, overrides):
-                                dirty_all = True
-                        else:
-                            for spec in specs:
-                                dirty |= spec.tuples(source, overrides)
+                            answers = state.run(variant, source, overrides)
+                            if answers is None:
+                                return _PAIR_RECOMPUTE
+                            dirty_all = dirty_all or bool(answers)
+                        for spec in specs:
+                            answers = state.run(spec.plan, source, overrides)
+                            if answers is None:
+                                return _PAIR_RECOMPUTE
+                            dirty |= spec.tuples(answers, state.intern)
         return _PairDelta("witness", dirty=frozenset(dirty), dirty_all=dirty_all)
 
     # -- instance cache -------------------------------------------------------
@@ -934,24 +912,38 @@ class PublishingPlan:
         return result
 
     def _expand(self, state: _InstanceState, triple: Triple) -> tuple[Triple, ...]:
-        """Evaluate a configuration's rule queries: its one-step expansion."""
+        """Evaluate a configuration's rule queries: its one-step expansion.
+
+        Planned items read the register through the override channel, in
+        the state's representation -- no overlay instance, no extended
+        schema, no relation re-wrapping.  An item the representation cannot
+        run (no plan, or no columnar kernel on an encoded instance)
+        evaluates on :meth:`_overlay` with the register decoded, and its
+        answers are brought back into the representation.  Sibling order
+        is the implicit order on ``D``, keyed per *group key* only (on
+        encoded states the encoder memoises one order key per id).
+        """
         q, tag, register = triple
         items = self._dispatch(q, tag)
         if not items or tag == TEXT_TAG:
             return ()
-        if state.encoder is not None:
-            return self._expand_encoded(state, tag, register, items)
-        extended = self._overlay(state, tag, register)
+        overrides = {GENERIC_REGISTER_NAME: register, register_relation_name(tag): register}
+        extended: Instance | None = None
         children: list[Triple] = []
         for item in items:
-            answers = item.evaluate(extended)
+            plan = item.plan
+            answers = None if plan is None else state.run(plan, state.instance, overrides)
+            if answers is None:
+                if extended is None:
+                    extended = self._overlay(state, tag, state.decode(register))
+                answers = state.encode(item.evaluate(extended))
             if not answers:
                 continue
             group_arity = item.group_arity
             if group_arity == 0:
                 children.append((item.state, item.tag, frozenset(answers)))
                 continue
-            groups: dict[tuple[DataValue, ...], set[tuple[DataValue, ...]]] = {}
+            groups: dict[tuple, set[tuple]] = {}
             for row in answers:
                 groups.setdefault(row[:group_arity], set()).add(row)
             if len(groups) == 1:
@@ -961,76 +953,16 @@ class PublishingPlan:
                     (item.state, item.tag, frozenset(next(iter(groups.values()))))
                 )
                 continue
-            for key in sorted(groups, key=tuple_order_key):
-                children.append((item.state, item.tag, frozenset(groups[key])))
-        return tuple(children)
-
-    def _expand_encoded(
-        self,
-        state: _InstanceState,
-        tag: str,
-        register: RegisterContent,
-        items: tuple[_CompiledItem, ...],
-    ) -> tuple[Triple, ...]:
-        """One-step expansion with registers and answers in integer space.
-
-        Planned rule queries run on the columnar kernel with the (already
-        encoded) register supplied through the encoded-override channel --
-        no overlay instance, no extended schema, no relation re-wrapping.
-        Unplannable queries fall back to the row pipeline: the register is
-        decoded, the classic overlay built, and the naive answers
-        re-encoded, so both kinds of item agree on the integer register
-        representation.  Sibling order is decoded per *group key* only
-        (the implicit order on ``D`` is an order on values, not on ids).
-        """
-        encoder = state.encoder
-        specific = register_relation_name(tag)
-        overrides = {GENERIC_REGISTER_NAME: register, specific: register}
-        extended: Instance | None = None
-        children: list[Triple] = []
-        for item in items:
-            plan = item.plan
-            if plan is not None and plan.vector_kernel() is not None:
-                answers = plan.execute_encoded(state.instance, overrides)
-            else:
-                if extended is None:
-                    decoded = encoder.decode_rows(register)
-                    extended = self._overlay(state, tag, decoded)
-                answers = encoder.encode_rows(item.evaluate(extended))
-            if not answers:
-                continue
-            group_arity = item.group_arity
-            if group_arity == 0:
-                children.append((item.state, item.tag, frozenset(answers)))
-                continue
-            groups: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-            for row in answers:
-                groups.setdefault(row[:group_arity], set()).add(row)
-            if len(groups) == 1:
-                children.append(
-                    (item.state, item.tag, frozenset(next(iter(groups.values()))))
-                )
-                continue
-            # The implicit order on D is an order on values, not on ids;
-            # the encoder memoises one order key per id so repeated sorts
-            # never rebuild the type-rank tuples.
-            for key in sorted(groups, key=encoder.row_order_key):
+            for key in sorted(groups, key=state.order_key):
                 children.append((item.state, item.tag, frozenset(groups[key])))
         return tuple(children)
 
     def _overlay(
-        self,
-        state: _InstanceState,
-        tag: str,
-        register: RegisterContent,
-        base: Instance | None = None,
+        self, state: _InstanceState, tag: str, register: RegisterContent
     ) -> Instance:
-        """The source extended with the register relations -- without copying it.
-
-        ``base`` substitutes another source of the same schema (the previous
-        version, when the delta checks of :meth:`_variants_clean` need the
-        pre-update overlay); the overlay schemas are shared either way.
-        """
+        """The source extended with a (decoded) register -- without copying
+        it: the evaluation instance of items that cannot read the register
+        through the override channel."""
         if register:
             arity = len(next(iter(register)))
         else:
@@ -1043,17 +975,13 @@ class PublishingPlan:
                 [RelationSchema(GENERIC_REGISTER_NAME, arity), RelationSchema(specific, arity)]
             )
             state.ext_schemas[key] = schema
-        if base is None:
-            base = state.instance
-            domain = state.active_domain
-            if register:
-                domain = domain | {value for row in register for value in row}
-        else:
-            domain = None  # planned delta variants never scan the domain
+        domain = state.instance.active_domain()
+        if register:
+            domain = domain | {value for row in register for value in row}
         # Registers are already-validated query answers: build both overlay
         # relations through the trusted constructor, sharing one frozenset.
         rows = register if isinstance(register, frozenset) else frozenset(register)
-        return base.overlaid(
+        return state.instance.overlaid(
             {
                 GENERIC_REGISTER_NAME: Relation._from_frozenset(
                     GENERIC_REGISTER_NAME, arity, rows

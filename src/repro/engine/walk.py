@@ -249,10 +249,8 @@ def _over_budget(budget: int) -> TransformationLimitError:
 
 
 def _text(state, register) -> str:
-    """The character data of a text leaf (registers decoded when encoded)."""
-    if state.encoder is not None:
-        register = state.encoder.decode_rows(register)
-    return relation_to_text(register)
+    """The character data of a text leaf (its register decoded)."""
+    return relation_to_text(state.decode(register))
 
 
 class TreeSink:
@@ -347,16 +345,13 @@ class AnnotatedSink:
 
     def __init__(self, plan, state) -> None:
         self.out: list = []
-        self._encoder = state.encoder
+        self._decode = state.decode
 
     def _node(self, triple, parent, **fields) -> AnnotatedNode:
-        register = triple[2]
-        if self._encoder is not None:
-            register = self._encoder.decode_rows(register)
         return AnnotatedNode(
             state=triple[0],
             tag=triple[1],
-            register=register,
+            register=self._decode(triple[2]),
             parent=parent,
             finalized=True,
             **fields,

@@ -121,8 +121,8 @@ class RegisterWitness:
     override (and the watched relations overridden by a candidate tuple
     pool) yields the bindings of the watched scan's variables in every
     derivation using a changed tuple; :meth:`tuples` rebuilds the full
-    scanned tuples (re-inserting pinned constants), i.e. exactly the pool
-    tuples that can participate in an answer change.
+    scanned tuples from those answers (re-inserting pinned constants), i.e.
+    exactly the pool tuples that can participate in an answer change.
     """
 
     __slots__ = ("plan", "_spec")
@@ -138,30 +138,22 @@ class RegisterWitness:
                 spec.append((False, term.value))
         self._spec = tuple(spec)
 
-    def tuples(self, instance: Instance, overrides) -> set[tuple[DataValue, ...]]:
-        """The full watched-scan tuples occurring in changed derivations."""
-        spec = self._spec
+    def tuples(self, answers, intern) -> set[tuple]:
+        """The full watched-scan tuples occurring in changed derivations.
+
+        ``answers`` are :attr:`plan`'s answers, in whatever representation
+        it ran (domain values, or dictionary ids on the columnar kernel);
+        ``intern`` brings the scan's pinned constants into that same
+        representation, so the rebuilt tuples compare directly against the
+        pool they were drawn from.
+        """
+        spec = [
+            (is_variable, payload if is_variable else intern(payload))
+            for is_variable, payload in self._spec
+        ]
         return {
             tuple(row[payload] if is_variable else payload for is_variable, payload in spec)
-            for row in self.plan.execute(instance, overrides)
-        }
-
-    def tuples_encoded(self, encoder, instance: Instance, overrides) -> set:
-        """Encoded-space :meth:`tuples`: integer rows in, integer tuples out.
-
-        ``overrides`` maps relation names to sets of *encoded* rows (the
-        engine's register pools and delta change sets); pinned constants
-        from the watched scan are interned so the rebuilt tuples compare
-        directly against encoded register contents.
-        """
-        spec = self._spec
-        intern = encoder.intern
-        return {
-            tuple(
-                row[payload] if is_variable else intern(payload)
-                for is_variable, payload in spec
-            )
-            for row in self.plan.execute_encoded(instance, overrides)
+            for row in answers
         }
 
 

@@ -375,9 +375,9 @@ class Instance(Mapping[str, Relation]):
 
         Unlike :meth:`extended`, which re-checks and re-wraps every relation,
         this trusted fast path reuses the existing :class:`Relation` objects
-        and only installs the pre-built ``extra`` relations on top.  It is the
-        hot path of the compiled publishing engine, which overlays the two
-        register relations on the source once per expanded node.
+        and only installs the pre-built ``extra`` relations on top.  The
+        compiled publishing engine overlays the two register relations with
+        it only for rule queries it cannot run through a query plan.
 
         ``schema`` must already describe the overlay (callers cache it);
         ``active_domain``, when given, seeds the active-domain cache so FO/IFP
@@ -392,9 +392,9 @@ class Instance(Mapping[str, Relation]):
         clone._relations = {**self._relations, **extra}
         clone._active_domain = active_domain
         # Overlays deliberately do not inherit the dictionary encoding: the
-        # engine's encoded pipeline feeds registers through the plans'
-        # encoded-override channel instead, and the overlay path is reserved
-        # for naive (active-domain) evaluation over raw values.
+        # engine feeds registers to planned queries through the plans'
+        # override channel instead, and the overlay path is reserved for
+        # naive (active-domain) evaluation over raw values.
         clone._encoding = None
         return clone
 

@@ -134,6 +134,55 @@ class _Broadcast:
         self.writers: list[asyncio.StreamWriter] = []
 
 
+class _Connections:
+    """The live client connections of an asyncio stream server.
+
+    :meth:`accept` is the server's client callback.  It runs ``handler`` on
+    the connection in a task that is tracked from the moment it is created,
+    so :meth:`close` also reaches connections that have not run yet.  A
+    connection's socket is closed, and waited on, when its task ends.
+    """
+
+    def __init__(self, handler: Callable) -> None:
+        self._handler = handler
+        self._live: dict[asyncio.Task, asyncio.StreamWriter] = {}
+
+    def accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        task = asyncio.get_running_loop().create_task(self._serve(reader, writer))
+        self._live[task] = writer
+
+    async def _serve(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        try:
+            await self._handler(reader, writer)
+        finally:
+            try:
+                await _close_writers([writer])
+            finally:
+                self._live.pop(asyncio.current_task(), None)
+
+    async def close(self) -> None:
+        """Cancel every connection and wait until its socket is released."""
+        current = asyncio.current_task()
+        pending = [task for task in self._live if task is not current]
+        for task in pending:
+            task.cancel()
+        if pending:
+            await asyncio.gather(*pending, return_exceptions=True)
+        # A task cancelled before it first ran never reached its own close.
+        await _close_writers([self._live.pop(task) for task in pending if task in self._live])
+
+
+async def _close_writers(writers: list[asyncio.StreamWriter]) -> None:
+    """Close stream writers and wait until their sockets are released."""
+    for writer in writers:
+        writer.close()
+    for writer in writers:
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, OSError):  # pragma: no cover - racy close
+            pass
+
+
 class NetServer:
     """Serve ViewServers over HTTP/1.1 and WebSockets (see module docstring)."""
 
@@ -171,8 +220,7 @@ class NetServer:
         #: *and* encoding; stale versions age out as new ETags displace them.
         self._response_cache: dict[str, bytes] = {}
         self._asyncio_server: asyncio.base_events.Server | None = None
-        self._ws_tasks: set[asyncio.Task] = set()
-        self._conn_tasks: set[asyncio.Task] = set()
+        self._connections = _Connections(self._handle_connection)
         self.address: tuple[str, int] | None = None
         self.counters = {
             "requests": 0,
@@ -194,7 +242,7 @@ class NetServer:
         if self._wal_dir is not None:
             self._recover_all()
         self._asyncio_server = await asyncio.start_server(
-            self._handle_connection, host, port, limit=protocol.STREAM_LIMIT
+            self._connections.accept, host, port, limit=protocol.STREAM_LIMIT
         )
         sockname = self._asyncio_server.sockets[0].getsockname()
         self.address = (sockname[0], sockname[1])
@@ -211,13 +259,7 @@ class NetServer:
                 self._drop_writer(group, writer)
             group.subscription.close()
         self._groups.clear()
-        pending = list(self._ws_tasks) + [
-            task for task in self._conn_tasks if task is not asyncio.current_task()
-        ]
-        for task in pending:
-            task.cancel()
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
+        await self._connections.close()
         for vs in self._namespaces.values():
             vs.close()
 
@@ -277,9 +319,6 @@ class NetServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
         try:
             while True:
                 try:
@@ -332,14 +371,6 @@ class NetServer:
             pass
         except asyncio.CancelledError:  # server shutdown
             pass
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - racy close
-                pass
 
     # -- routing -------------------------------------------------------------
 
@@ -723,9 +754,6 @@ class NetServer:
         group.writers.append(writer)
         self.counters["ws_connections"] += 1
         self.counters["ws_active"] += 1
-        task = asyncio.current_task()
-        if task is not None:
-            self._ws_tasks.add(task)
         try:
             while True:
                 opcode, payload = await protocol.read_ws_message(reader)
@@ -743,8 +771,6 @@ class NetServer:
         ):
             pass
         finally:
-            if task is not None:
-                self._ws_tasks.discard(task)
             self._drop_writer(group, writer)
 
     def _open_subscription(self, request: Request) -> tuple[_Broadcast, dict]:

@@ -46,7 +46,7 @@ from zlib import crc32
 
 from repro.relational.wire import canonical_json
 from repro.serve.net import protocol
-from repro.serve.net.app import NetServer, _HttpError
+from repro.serve.net.app import NetServer, _close_writers, _Connections, _HttpError
 from repro.serve.net.protocol import ProtocolError, Request, json_response, render_response
 from repro.serve.net.wal import DeltaLog, recover_source, rehome_source
 from repro.serve.stats import merge_cluster_stats
@@ -249,7 +249,7 @@ class ShardRouter:
         self._registrations: dict[str, dict[str, dict]] = {}
         self._free: dict[int, list] = {index: [] for index in range(len(self._shards))}
         self._asyncio_server: asyncio.base_events.Server | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
+        self._connections = _Connections(self._handle_connection)
         self.address: tuple[str, int] | None = None
         self.counters = {
             "requests": 0,
@@ -271,7 +271,7 @@ class ShardRouter:
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         self._asyncio_server = await asyncio.start_server(
-            self._handle_connection, host, port, limit=protocol.STREAM_LIMIT
+            self._connections.accept, host, port, limit=protocol.STREAM_LIMIT
         )
         sockname = self._asyncio_server.sockets[0].getsockname()
         self.address = (sockname[0], sockname[1])
@@ -282,17 +282,11 @@ class ShardRouter:
             self._asyncio_server.close()
             await self._asyncio_server.wait_closed()
             self._asyncio_server = None
-        pending = [
-            task for task in self._conn_tasks if task is not asyncio.current_task()
-        ]
-        for task in pending:
-            task.cancel()
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
+        await self._connections.close()
+        pooled = [writer for pool in self._free.values() for _, writer in pool]
         for pool in self._free.values():
-            for _, writer in pool:
-                writer.close()
             pool.clear()
+        await _close_writers(pooled)
 
     async def replace_shard(self, index: int, address: tuple[str, int]) -> None:
         """Point shard ``index`` at a restarted worker and restore its views.
@@ -303,9 +297,9 @@ class ShardRouter:
         replays the recorded registrations of every namespace it owns.
         """
         self._shards[index] = tuple(address)
-        for _, writer in self._free[index]:
-            writer.close()
+        stale = [writer for _, writer in self._free[index]]
         self._free[index] = []
+        await _close_writers(stale)
         for ns, registrations in self._registrations.items():
             if self.owner(ns) != index:
                 continue
@@ -376,9 +370,6 @@ class ShardRouter:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
         try:
             while True:
                 try:
@@ -409,14 +400,6 @@ class ShardRouter:
             pass
         except asyncio.CancelledError:  # router shutdown
             pass
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - racy close
-                pass
 
     async def _route(self, request: Request) -> bytes:
         parts = [part for part in request.path.split("/") if part]

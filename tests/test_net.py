@@ -7,6 +7,11 @@ routing and the ViewServer integration together.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.relational.delta import Delta
@@ -486,3 +491,22 @@ def test_wire_dtd_publish_matches_unchecked_bytes(client):
     checked = client.publish("checked", source="db")
     plain = client.publish("plain", source="db")
     assert checked.document == plain.document
+
+
+@pytest.mark.parametrize("example", ["serve_cluster.py", "serve_http.py"])
+def test_network_examples_shut_down_cleanly(example):
+    """Under ``-X dev`` an unclosed socket or transport, or a task destroyed
+    while pending, prints a warning to stderr: the network examples -- a
+    router over two shard workers, and a server stopped and restarted over
+    its log -- must exit without any."""
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", str(root / "examples" / example)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    assert "ResourceWarning" not in done.stderr
+    assert "Task was destroyed" not in done.stderr
